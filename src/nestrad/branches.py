@@ -10,13 +10,14 @@ k-sweep numerically cheap: one flip per increment.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .core import (
     Scalar,
+    _tower,
     acos_outer,
     acosh_outer,
     check_depth,
-    half_angle_step,
 )
 
 __all__ = [
@@ -29,6 +30,19 @@ __all__ = [
 ]
 
 
+def _gray(k: int) -> int:
+    return k ^ (k >> 1)
+
+
+def _check_index(k: int, width: int) -> None:
+    if width < 1:
+        raise ValueError(f"width must be a positive integer, got {width}")
+    if not 0 <= k < 2 ** (width - 1):
+        raise ValueError(
+            f"branch index {k} out of range for width {width}; "
+            f"need 0 <= k < {2 ** (width - 1)}")
+
+
 def gray_signs(k: int, width: int) -> tuple[int, ...]:
     """Sign tuple (+1/-1) of branch k for a radical tower of the given width.
 
@@ -37,29 +51,29 @@ def gray_signs(k: int, width: int) -> tuple[int, ...]:
     outermost slot is the leading Gray bit and stays +1 for every valid
     k, hence the bound k < 2**(width - 1).
     """
-    if width < 1:
-        raise ValueError(f"width must be a positive integer, got {width}")
-    if not 0 <= k < 2 ** (width - 1):
-        raise ValueError(
-            f"branch index {k} out of range for width {width}; "
-            f"need 0 <= k < {2 ** (width - 1)}")
-    g = k ^ (k >> 1)
+    _check_index(k, width)
+    g = _gray(k)
     return tuple(-1 if (g >> m) & 1 else 1 for m in range(width))
 
 
 def gray_adjacent_distance(k: int, width: int) -> int:
     """Number of sign slots that differ between branches k and k + 1."""
-    a = gray_signs(k, width)
-    b = gray_signs(k + 1, width)
-    return sum(1 for sa, sb in zip(a, b) if sa != sb)
+    _check_index(k, width)
+    _check_index(k + 1, width)
+    return (_gray(k) ^ _gray(k + 1)).bit_count()
 
 
-def _signed_tower(y: Scalar, signs: tuple[int, ...]) -> Scalar:
-    for s in signs:
-        y = half_angle_step(y)
-        if s < 0:
-            y = -y
-    return y
+def _branch(y: Scalar, k: int, depth: int, allow_deep: bool,
+            outer: Callable[[Scalar], Scalar]) -> Scalar:
+    check_depth(depth, allow_deep=allow_deep)
+    if k >= 0:
+        _check_index(k, depth)
+        return _tower(y, depth, _gray(k), outer)
+    if -k >= 2 ** (depth - 1):
+        raise ValueError(
+            f"branch index {k} out of range for depth {depth}; "
+            f"need |k| < {2 ** (depth - 1)}")
+    return -_tower(y, depth, _gray(-k - 1), outer)
 
 
 def nested_acos_branch(y: Scalar, k: int, depth: int = 10, *,
@@ -70,29 +84,13 @@ def nested_acos_branch(y: Scalar, k: int, depth: int = 10, *,
     branch -k of a value is minus branch k - 1, covering the branches
     below the principal one.
     """
-    check_depth(depth, allow_deep=allow_deep)
-    if k < 0:
-        if -k >= 2 ** (depth - 1):
-            raise ValueError(
-                f"branch index {k} out of range for depth {depth}; "
-                f"need |k| < {2 ** (depth - 1)}")
-        return -nested_acos_branch(y, -k - 1, depth, allow_deep=allow_deep)
-    y = _signed_tower(y, gray_signs(k, depth))
-    return (2.0 ** depth) * acos_outer(y)
+    return _branch(y, k, depth, allow_deep, acos_outer)
 
 
 def nested_acosh_branch(y: Scalar, k: int, depth: int = 10, *,
                         allow_deep: bool = False) -> Scalar:
     """Branch k of the inverse hyperbolic cosine; mirrors nested_acos_branch."""
-    check_depth(depth, allow_deep=allow_deep)
-    if k < 0:
-        if -k >= 2 ** (depth - 1):
-            raise ValueError(
-                f"branch index {k} out of range for depth {depth}; "
-                f"need |k| < {2 ** (depth - 1)}")
-        return -nested_acosh_branch(y, -k - 1, depth, allow_deep=allow_deep)
-    y = _signed_tower(y, gray_signs(k, depth))
-    return (2.0 ** depth) * acosh_outer(y)
+    return _branch(y, k, depth, allow_deep, acosh_outer)
 
 
 def extract_branch(x: Scalar) -> float:

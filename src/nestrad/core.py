@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "DEPTH_CAP",
@@ -46,8 +47,12 @@ _EVEN_FACTORIALS = (1.0, 2.0, 24.0, 720.0)  # (2j)! for j = 0..3
 
 
 def check_depth(depth: int, *, allow_deep: bool = False) -> None:
-    """Validate a recursion depth against the precision guard."""
-    if depth < 1:
+    """Validate a recursion depth against the precision guard.
+
+    Any depth that is not an int, a bool included, is rejected like a
+    nonpositive one rather than failing later inside a loop.
+    """
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth}")
     if depth > DEPTH_CAP and not allow_deep:
         raise ValueError(
@@ -183,6 +188,22 @@ def acosh_outer(y: Scalar) -> Scalar:
     return principal_sqrt(2.0 * (-1.0 + y))
 
 
+def _tower(y: Scalar, depth: int, gray: int,
+           outer: Callable[[Scalar], Scalar],
+           out: list[Scalar] | None = None) -> Scalar:
+    # The one radical tower behind every inverse entry.  Bit m of the Gray
+    # code gray negates the iterate after radical m, innermost m = 0, and
+    # gray = 0 is the principal sheet.  Iterates go to out when given.
+    # The half-angle step is inlined; it is the hot path of branch sweeps.
+    for m in range(depth):
+        y = principal_sqrt((y + 1.0) / 2.0)
+        if gray >> m & 1:
+            y = -y
+        if out is not None:
+            out.append(y)
+    return (2.0 ** depth) * outer(y)
+
+
 def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
     """Principal inverse cosine as a tower of depth half-angle radicals.
 
@@ -191,17 +212,13 @@ def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scal
     positive multiple of 1j.
     """
     check_depth(depth, allow_deep=allow_deep)
-    for _ in range(depth):
-        y = half_angle_step(y)
-    return (2.0 ** depth) * acos_outer(y)
+    return _tower(y, depth, 0, acos_outer)
 
 
 def nested_acosh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
     """Principal inverse hyperbolic cosine from the same radical tower."""
     check_depth(depth, allow_deep=allow_deep)
-    for _ in range(depth):
-        y = half_angle_step(y)
-    return (2.0 ** depth) * acosh_outer(y)
+    return _tower(y, depth, 0, acosh_outer)
 
 
 def nested_acos_sequence(y: Scalar, depth: int = 10, *,
@@ -212,10 +229,7 @@ def nested_acos_sequence(y: Scalar, depth: int = 10, *,
     """
     check_depth(depth, allow_deep=allow_deep)
     out: list[Scalar] = []
-    for _ in range(depth):
-        y = half_angle_step(y)
-        out.append(y)
-    out.append((2.0 ** depth) * acos_outer(y))
+    out.append(_tower(y, depth, 0, acos_outer, out))
     return out
 
 
@@ -224,8 +238,5 @@ def nested_acosh_sequence(y: Scalar, depth: int = 10, *,
     """Hyperbolic counterpart of nested_acos_sequence."""
     check_depth(depth, allow_deep=allow_deep)
     out: list[Scalar] = []
-    for _ in range(depth):
-        y = half_angle_step(y)
-        out.append(y)
-    out.append((2.0 ** depth) * acosh_outer(y))
+    out.append(_tower(y, depth, 0, acosh_outer, out))
     return out

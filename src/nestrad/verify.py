@@ -24,8 +24,6 @@ from .core import (
     EvalConfig,
     Scalar,
     check_depth,
-    nested_acos,
-    nested_acosh,
     nested_cos,
     nested_cosh,
 )
@@ -184,75 +182,56 @@ class FunctionSpec:
     takes_branch: bool = False
 
 
-def _forward(fn: Callable[[Scalar, EvalConfig], Scalar]) -> Callable[..., Scalar]:
-    def evaluate(z, depth, seed_order, branch, allow_deep):
-        if branch != 0:
-            raise ValueError("branch selection only applies to acos and acosh")
-        return fn(z, EvalConfig(depth, seed_order, allow_deep))
-    return evaluate
-
-
-def _inverse(fn: Callable[..., Scalar]) -> Callable[..., Scalar]:
-    def evaluate(z, depth, seed_order, branch, allow_deep):
-        if branch != 0:
-            raise ValueError("branch selection only applies to acos and acosh")
-        return fn(z, depth, allow_deep=allow_deep)
-    return evaluate
-
-
-def _eval_acos(z, depth, seed_order, branch, allow_deep):
-    if branch == 0:
-        return nested_acos(z, depth, allow_deep=allow_deep)
-    return nested_acos_branch(z, branch, depth, allow_deep=allow_deep)
-
-
-def _eval_acosh(z, depth, seed_order, branch, allow_deep):
-    if branch == 0:
-        return nested_acosh(z, depth, allow_deep=allow_deep)
-    return nested_acosh_branch(z, branch, depth, allow_deep=allow_deep)
-
-
-def _eval_sin_shift(z, depth, seed_order, branch, allow_deep):
+def _sin_shift(x: Scalar, cfg: EvalConfig) -> Scalar:
     # Alternative sine route: evaluate the cosine chain at x - pi/2.
-    if branch != 0:
-        raise ValueError("branch selection only applies to acos and acosh")
-    return nested_cos(z - math.pi / 2, EvalConfig(depth, seed_order, allow_deep))
+    return nested_cos(x - math.pi / 2, cfg)
 
 
-def _eval_exp_limit(z, depth, seed_order, branch, allow_deep):
-    # depth d selects n = 2**d so the limit index scales like the chains.
-    if branch != 0:
-        raise ValueError("branch selection only applies to acos and acosh")
-    check_depth(depth, allow_deep=allow_deep)
-    return exp_limit(z, 2 ** depth)
+def _spec(name: str, fn: Callable[..., Scalar], takes: str,
+          oracle: Callable[..., Scalar]) -> FunctionSpec:
+    """Pair fn with its oracle behind the one evaluate adapter.
 
+    takes says what fn accepts after z: "config" an EvalConfig, "depth" a
+    depth, "branch" a branch index and a depth (acos and acosh, principal
+    at branch 0), "limit" the limit index n = 2**depth, so that the limit
+    index scales like the chains.
+    """
+    takes_branch = takes == "branch"
 
-def _eval_log_limit(z, depth, seed_order, branch, allow_deep):
-    if branch != 0:
-        raise ValueError("branch selection only applies to acos and acosh")
-    check_depth(depth, allow_deep=allow_deep)
-    return log_limit(z, 2 ** depth)
+    def evaluate(z, depth, seed_order, branch, allow_deep):
+        if branch != 0 and not takes_branch:
+            raise ValueError("branch selection only applies to acos and acosh")
+        if takes == "config":
+            return fn(z, EvalConfig(depth, seed_order, allow_deep))
+        if takes == "limit":
+            check_depth(depth, allow_deep=allow_deep)
+            return fn(z, 2 ** depth)
+        if takes_branch:
+            return fn(z, branch, depth, allow_deep=allow_deep)
+        return fn(z, depth, allow_deep=allow_deep)
+
+    return FunctionSpec(name, evaluate, oracle, takes_branch)
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
     spec.name: spec for spec in [
-        FunctionSpec("cos", _forward(nested_cos), _std_oracle(math.cos, cmath.cos)),
-        FunctionSpec("sin", _forward(nested_sin), _std_oracle(math.sin, cmath.sin)),
-        FunctionSpec("tan", _forward(nested_tan), _std_oracle(math.tan, cmath.tan)),
-        FunctionSpec("cosh", _forward(nested_cosh), _std_oracle(math.cosh, cmath.cosh)),
-        FunctionSpec("sinh", _forward(nested_sinh), _std_oracle(math.sinh, cmath.sinh)),
-        FunctionSpec("tanh", _forward(nested_tanh), _std_oracle(math.tanh, cmath.tanh)),
-        FunctionSpec("exp", _forward(nested_exp), _std_oracle(math.exp, cmath.exp)),
-        FunctionSpec("acos", _eval_acos, _acos_oracle, takes_branch=True),
-        FunctionSpec("acosh", _eval_acosh, _acosh_oracle, takes_branch=True),
-        FunctionSpec("asin", _inverse(nested_asin), _std_oracle(math.asin, cmath.asin)),
-        FunctionSpec("atan", _inverse(nested_atan), _std_oracle(math.atan, cmath.atan)),
-        FunctionSpec("asinh", _inverse(nested_asinh), _std_oracle(math.asinh, cmath.asinh)),
-        FunctionSpec("atanh", _inverse(nested_atanh), _std_oracle(math.atanh, cmath.atanh)),
-        FunctionSpec("log", _inverse(nested_log), _std_oracle(math.log, cmath.log)),
-        FunctionSpec("exp-limit", _eval_exp_limit, _std_oracle(math.exp, cmath.exp)),
-        FunctionSpec("log-limit", _eval_log_limit, _std_oracle(math.log, cmath.log)),
-        FunctionSpec("sin-shift", _eval_sin_shift, _std_oracle(math.sin, cmath.sin)),
+        _spec("cos", nested_cos, "config", _std_oracle(math.cos, cmath.cos)),
+        _spec("sin", nested_sin, "config", _std_oracle(math.sin, cmath.sin)),
+        _spec("tan", nested_tan, "config", _std_oracle(math.tan, cmath.tan)),
+        _spec("cosh", nested_cosh, "config", _std_oracle(math.cosh, cmath.cosh)),
+        _spec("sinh", nested_sinh, "config", _std_oracle(math.sinh, cmath.sinh)),
+        _spec("tanh", nested_tanh, "config", _std_oracle(math.tanh, cmath.tanh)),
+        _spec("exp", nested_exp, "config", _std_oracle(math.exp, cmath.exp)),
+        _spec("acos", nested_acos_branch, "branch", _acos_oracle),
+        _spec("acosh", nested_acosh_branch, "branch", _acosh_oracle),
+        _spec("asin", nested_asin, "depth", _std_oracle(math.asin, cmath.asin)),
+        _spec("atan", nested_atan, "depth", _std_oracle(math.atan, cmath.atan)),
+        _spec("asinh", nested_asinh, "depth", _std_oracle(math.asinh, cmath.asinh)),
+        _spec("atanh", nested_atanh, "depth", _std_oracle(math.atanh, cmath.atanh)),
+        _spec("log", nested_log, "depth", _std_oracle(math.log, cmath.log)),
+        _spec("exp-limit", exp_limit, "limit", _std_oracle(math.exp, cmath.exp)),
+        _spec("log-limit", log_limit, "limit", _std_oracle(math.log, cmath.log)),
+        _spec("sin-shift", _sin_shift, "config", _std_oracle(math.sin, cmath.sin)),
     ]
 }
 

@@ -11,7 +11,10 @@ from nestrad import (
     gray_signs,
     nested_acos,
     nested_acos_branch,
+    nested_acos_sequence,
+    nested_acosh,
     nested_acosh_branch,
+    nested_acosh_sequence,
 )
 
 YGRID = (-0.9, -0.5, 0.0, 0.5, 0.9)
@@ -50,6 +53,11 @@ def test_sign_sequence_range_errors():
         gray_signs(-1, 4)
     with pytest.raises(ValueError, match="width"):
         gray_signs(0, 0)
+    # Both ends of the adjacent pair are checked: k itself and k + 1.
+    with pytest.raises(ValueError, match="branch index -1 out of range"):
+        gray_adjacent_distance(-1, 4)
+    with pytest.raises(ValueError, match="branch index 8 out of range"):
+        gray_adjacent_distance(2 ** 3 - 1, 4)
 
 
 def test_adjacent_branches_differ_in_one_slot():
@@ -61,8 +69,19 @@ def test_adjacent_branches_differ_in_one_slot():
 
 
 def test_branch_zero_is_principal_bitwise():
-    for y in (-0.7, 0.2, 0.9, 2.0, 2 + 1j):
-        assert nested_acos_branch(y, 0, 10) == nested_acos(y, 10)
+    # repr tells signed zeros apart, so equal reprs mean equal bits.
+    ys = (-0.7, 0.2, 0.9, 2.0, 2 + 1j, -0.0, complex(-2.0, 0.0),
+          complex(-2.0, -0.0), 1e300)
+    for depth in (1, 10, 30):
+        for y in ys:
+            for principal, branch, sequence in (
+                    (nested_acos, nested_acos_branch, nested_acos_sequence),
+                    (nested_acosh, nested_acosh_branch, nested_acosh_sequence)):
+                p = repr(principal(y, depth))
+                assert repr(branch(y, 0, depth)) == p
+                assert repr(sequence(y, depth)[-1]) == p
+                if depth > 1:
+                    assert repr(-branch(y, -1, depth)) == p
 
 
 def test_negative_branch_is_exact_mirror():

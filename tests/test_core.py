@@ -36,8 +36,9 @@ def test_default_config():
 
 
 def test_config_rejects_nonpositive_depth():
-    with pytest.raises(ValueError, match="positive"):
-        EvalConfig(0, 2)
+    for depth in (0, 2.5, True):
+        with pytest.raises(ValueError, match="positive"):
+            EvalConfig(depth, 2)
 
 
 def test_config_rejects_depth_beyond_cap():
@@ -63,6 +64,11 @@ def test_check_depth_boundaries():
         check_depth(0)
     with pytest.raises(ValueError):
         check_depth(DEPTH_CAP + 1)
+    for depth in (2.5, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            check_depth(depth)
+        with pytest.raises(ValueError, match="positive integer"):
+            nested_acos(0.5, depth)
 
 
 def test_principal_sqrt_real_stays_float():
