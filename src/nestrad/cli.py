@@ -125,24 +125,33 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
+    rows = reproduce_table1(args.depth)
     print(f"{'signs':<8}{'value':<20}limit")
-    for row in reproduce_table1(args.depth):
+    for row in rows:
         limit = f"{2 * row.k + 1}pi/2" if row.k else "pi/2"
         print(f"{row.pattern:<8}{fmt_real(row.value):<20}{limit}")
 
 
 def _cmd_table2(args: argparse.Namespace) -> None:
+    rows = reproduce_table2(args.depth)
     print(f"{'k':<4}{'acos(1)/pi':<20}acos(-1)/pi")
-    for row in reproduce_table2(args.depth):
+    for row in rows:
         print(f"{row.k:<4}{fmt_real(row.at_plus_one):<20}"
               f"{fmt_real(row.at_minus_one)}")
 
 
 def _cmd_expand(args: argparse.Namespace) -> None:
     variant = "hyperbolic" if args.hyperbolic else "circular"
-    print("j,coefficient")
-    for j, c in enumerate(expand_nested_cos(args.depth, variant).coeffs):
-        print(f"{j},{c}")
+    coeffs = expand_nested_cos(args.depth, variant).coeffs
+    try:
+        lines = [f"{j},{c}" for j, c in enumerate(coeffs)]
+    except ValueError as exc:
+        # Python's int-to-str digit limit; the coefficients themselves exist.
+        raise ValueError(
+            f"depth {args.depth} coefficients have more digits than Python's "
+            "integer string conversion limit; set PYTHONINTMAXSTRDIGITS=0 "
+            "to lift it") from exc
+    print("\n".join(["j,coefficient", *lines]))
 
 
 def _cmd_signs(args: argparse.Namespace) -> None:

@@ -251,6 +251,10 @@ def test_repeated_invocations_are_byte_identical():
     (["eval", "sin", "1", "--branch", "2"], 2, "branch selection"),
     (["sweep", "--kmax", "600", "--depth", "10"], 2, "k_max"),
     (["converge", "cos", "1", "--depths", "6..4"], 2, "empty depth range"),
+    (["table1", "--depth", "5"], 2, "depth >= 10"),
+    (["table2", "--depth", "0"], 2, "positive integer"),
+    (["expand", "--depth", "13"], 2, "1..12"),
+    (["expand", "--depth", "10"], 2, "PYTHONINTMAXSTRDIGITS"),
 ])
 def test_exit_codes_and_messages(argv, code, fragment):
     got, out, err = run_cli(argv)

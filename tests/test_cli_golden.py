@@ -31,6 +31,8 @@ ARGVS = [
     ["table1"],
     ["table2", "--depth", "25"],
     ["signs", "--branch", "100", "--width", "25"],
+    ["expand", "--depth", "6"],
+    ["expand", "--depth", "5", "--hyperbolic"],
 ]
 
 

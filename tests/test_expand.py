@@ -74,8 +74,9 @@ def test_error_profile():
 
 
 def test_error_profile_validation():
-    with pytest.raises(ValueError, match="max_j"):
-        maclaurin_error_profile(2, 0)
+    for max_j in (0, 2.5, True):
+        with pytest.raises(ValueError, match="max_j"):
+            maclaurin_error_profile(2, max_j)
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -87,13 +88,32 @@ def test_evaluate_matches_floating_chain(depth):
     assert abs(poly - chain) <= 1e-12
 
 
+@pytest.mark.parametrize("variant", ["circular", "hyperbolic"])
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_expansion_equals_exact_chain(depth, variant):
+    # Reference shares no code with the expansion: run y <- -1 + 2y**2 in
+    # Fraction arithmetic from the seed and compare exact values.
+    sign = -1 if variant == "circular" else 1
+    coeffs = expand_nested_cos(depth, variant).coeffs
+    for x in (Fraction(1, 3), Fraction(-7, 5), Fraction(22, 7)):
+        u = x * x
+        horner = Fraction(0)
+        for c in reversed(coeffs):
+            horner = horner * u + c
+        y = 1 + sign * u / 2 ** (2 * depth + 1)
+        for _ in range(depth):
+            y = -1 + 2 * y * y
+        assert horner == y
+
+
 def test_evaluate_at_zero():
     assert expand_nested_cos(3).evaluate(0.0) == 1.0
 
 
 def test_depth_validation():
-    with pytest.raises(ValueError, match="1\\.\\."):
-        expand_nested_cos(0)
+    for depth in (0, True, 2.5, 2.0):
+        with pytest.raises(ValueError, match="1\\.\\."):
+            expand_nested_cos(depth)
     with pytest.raises(ValueError):
         expand_nested_cos(EXPANSION_DEPTH_CAP + 1)
     with pytest.raises(ValueError, match="variant"):
