@@ -8,130 +8,14 @@ log, exp, their inverses and hyperbolic twins) reduce to these four.
 Exact rational expansion, closed-form oracles, and a CLI round it out.
 """
 
-from .branches import (
-    branch_oracle_acos,
-    extract_branch,
-    gray_adjacent_distance,
-    gray_signs,
-    nested_acos_branch,
-    nested_acosh_branch,
-)
-from .core import (
-    DEFAULT_CONFIG,
-    DEPTH_CAP,
-    EvalConfig,
-    Scalar,
-    acos_outer,
-    acosh_outer,
-    check_depth,
-    cos_seed,
-    cosh_seed,
-    double_angle_step,
-    half_angle_step,
-    nested_acos,
-    nested_acos_sequence,
-    nested_acosh,
-    nested_acosh_sequence,
-    nested_cos,
-    nested_cos_sequence,
-    nested_cosh,
-    nested_cosh_sequence,
-    principal_sqrt,
-)
-from .derived import (
-    exp_limit,
-    log_limit,
-    nested_asin,
-    nested_asinh,
-    nested_atan,
-    nested_atanh,
-    nested_exp,
-    nested_log,
-    nested_sin,
-    nested_sinh,
-    nested_tan,
-    nested_tanh,
-)
-from .expand import (
-    EXPANSION_DEPTH_CAP,
-    RationalPoly,
-    expand_nested_cos,
-    maclaurin_error_profile,
-)
-from .verify import (
-    FUNCTIONS,
-    ConvergenceRow,
-    EvalReport,
-    FunctionSpec,
-    Table1Row,
-    Table2Row,
-    converge,
-    eval_report,
-    make_report,
-    ref_acos,
-    ref_acosh,
-    reproduce_table1,
-    reproduce_table2,
-    sweep_branches,
-)
+from . import branches, core, derived, expand, verify
+from .branches import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .derived import *  # noqa: F401,F403
+from .expand import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "DEPTH_CAP",
-    "EXPANSION_DEPTH_CAP",
-    "ConvergenceRow",
-    "EvalConfig",
-    "EvalReport",
-    "FUNCTIONS",
-    "FunctionSpec",
-    "RationalPoly",
-    "Scalar",
-    "Table1Row",
-    "Table2Row",
-    "acos_outer",
-    "acosh_outer",
-    "branch_oracle_acos",
-    "check_depth",
-    "converge",
-    "cos_seed",
-    "cosh_seed",
-    "double_angle_step",
-    "eval_report",
-    "exp_limit",
-    "expand_nested_cos",
-    "extract_branch",
-    "gray_adjacent_distance",
-    "gray_signs",
-    "half_angle_step",
-    "log_limit",
-    "maclaurin_error_profile",
-    "make_report",
-    "nested_acos",
-    "nested_acos_branch",
-    "nested_acos_sequence",
-    "nested_acosh",
-    "nested_acosh_branch",
-    "nested_acosh_sequence",
-    "nested_asin",
-    "nested_asinh",
-    "nested_atan",
-    "nested_atanh",
-    "nested_cos",
-    "nested_cos_sequence",
-    "nested_cosh",
-    "nested_cosh_sequence",
-    "nested_exp",
-    "nested_log",
-    "nested_sin",
-    "nested_sinh",
-    "nested_tan",
-    "nested_tanh",
-    "principal_sqrt",
-    "ref_acos",
-    "ref_acosh",
-    "reproduce_table1",
-    "reproduce_table2",
-    "sweep_branches",
-]
+__all__ = [*branches.__all__, *core.__all__, *derived.__all__,
+           *expand.__all__, *verify.__all__]

@@ -14,6 +14,8 @@ from typing import Callable
 
 from .core import (
     Scalar,
+    _is_int,
+    _real,
     _tower,
     acos_outer,
     acosh_outer,
@@ -35,9 +37,9 @@ def _gray(k: int) -> int:
 
 
 def _check_index(k: int, width: int) -> None:
-    if width < 1:
+    if not _is_int(width) or width < 1:
         raise ValueError(f"width must be a positive integer, got {width}")
-    if not 0 <= k < 2 ** (width - 1):
+    if not _is_int(k) or not 0 <= k < 2 ** (width - 1):
         raise ValueError(
             f"branch index {k} out of range for width {width}; "
             f"need 0 <= k < {2 ** (width - 1)}")
@@ -69,7 +71,7 @@ def _branch(y: Scalar, k: int, depth: int, allow_deep: bool,
     if k >= 0:
         _check_index(k, depth)
         return _tower(y, depth, _gray(k), outer)
-    if -k >= 2 ** (depth - 1):
+    if not _is_int(k) or -k >= 2 ** (depth - 1):
         raise ValueError(
             f"branch index {k} out of range for depth {depth}; "
             f"need |k| < {2 ** (depth - 1)}")
@@ -99,8 +101,7 @@ def extract_branch(x: Scalar) -> float:
     Branch k of the inverse cosine of a real argument lands in
     (k*pi, (k+1)*pi), so rounding the returned value gives k back.
     """
-    r = x.real if isinstance(x, complex) else float(x)
-    return r / math.pi - 0.5
+    return _real(x) / math.pi - 0.5
 
 
 def branch_oracle_acos(y: float, k: int) -> float:
@@ -111,9 +112,16 @@ def branch_oracle_acos(y: float, k: int) -> float:
     """
     if not -1.0 <= y <= 1.0:
         raise ValueError(f"oracle needs y in [-1, 1], got {y}")
-    if k < 0:
+    if not _is_int(k) or k < 0:
         raise ValueError(f"oracle branch index must be >= 0, got {k}")
-    x0 = math.acos(y)
+    return _reflect(math.acos(y), k)
+
+
+def _reflect(x0: Scalar, k: int) -> Scalar:
+    # Branch k from the principal value x0: even k adds k*pi, odd k
+    # reflects off (k+1)*pi, and negative k is minus branch -k-1.
+    if k < 0:
+        return -_reflect(x0, -k - 1)
     if k % 2 == 0:
         return k * math.pi + x0
     return (k + 1) * math.pi - x0

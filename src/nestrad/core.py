@@ -50,13 +50,28 @@ DEPTH_CAP = 30
 _EVEN_FACTORIALS = (1.0, 2.0, 24.0, 720.0)  # (2j)! for j = 0..3
 
 
+def _is_int(v: object) -> bool:
+    # Integer arguments (depths, indices, counts) reject bool and every
+    # non-int type like an out-of-range value, not later inside a loop.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(z: Scalar) -> bool:
+    # A complex carrying a zero imaginary part counts as real input.
+    return not isinstance(z, complex) or z.imag == 0.0
+
+
+def _real(z: Scalar) -> float:
+    return z.real if isinstance(z, complex) else float(z)
+
+
 def check_depth(depth: int, *, allow_deep: bool = False) -> None:
     """Validate a recursion depth against the precision guard.
 
     Any depth that is not an int, a bool included, is rejected like a
     nonpositive one rather than failing later inside a loop.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth}")
     if depth > DEPTH_CAP and not allow_deep:
         raise ValueError(
@@ -79,7 +94,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         check_depth(self.depth, allow_deep=self.allow_deep)
-        if self.seed_order not in (1, 2, 3, 4):
+        if not _is_int(self.seed_order) or self.seed_order not in (1, 2, 3, 4):
             raise ValueError(f"seed_order must be in 1..4, got {self.seed_order}")
 
 
@@ -100,6 +115,8 @@ def principal_sqrt(z: Scalar) -> Scalar:
     part, so values that land exactly on the cut never drop to the lower
     sheet.  Other complex input goes through cmath.sqrt unchanged.
     """
+    # _is_real and _real written out: this runs depth times per branch in
+    # a sweep, where a function call per radical costs measurable time.
     if isinstance(z, complex) and z.imag != 0.0:
         return cmath.sqrt(z)
     x = z.real if isinstance(z, complex) else float(z)

@@ -15,6 +15,9 @@ from .core import (
     DEFAULT_CONFIG,
     EvalConfig,
     Scalar,
+    _is_int,
+    _is_real,
+    _real,
     nested_acos,
     nested_acosh,
     nested_cos,
@@ -38,13 +41,11 @@ __all__ = [
 ]
 
 
-def _is_real(z: Scalar) -> bool:
-    # A complex carrying a zero imaginary part counts as real input.
-    return not isinstance(z, complex) or z.imag == 0.0
-
-
-def _real(z: Scalar) -> float:
-    return z.real if isinstance(z, complex) else float(z)
+def _odd(v: Scalar, z: Scalar) -> Scalar:
+    # The square roots lose the sign of real z; an odd function gets it back.
+    if _is_real(z) and _real(z) < 0.0:
+        return -v
+    return v
 
 
 def nested_sin(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
@@ -92,35 +93,25 @@ def nested_atan(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scal
     if d == 0:
         raise ZeroDivisionError("1 + y**2 is zero; arctangent poles at +-1j")
     v = nested_acos(1.0 / principal_sqrt(d), depth, allow_deep=allow_deep)
-    if _is_real(y) and _real(y) < 0.0:
-        return -v
-    return v
+    return _odd(v, y)
 
 
 def nested_sinh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     """Principal root of nested_cosh(x)**2 - 1, with the sign of real x."""
     c = nested_cosh(x, cfg)
-    s = principal_sqrt(c * c - 1.0)
-    if _is_real(x) and _real(x) < 0.0:
-        return -s
-    return s
+    return _odd(principal_sqrt(c * c - 1.0), x)
 
 
 def nested_tanh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     """Principal root of 1 - nested_cosh(x)**-2, with the sign of real x."""
     c = nested_cosh(x, cfg)
-    t = principal_sqrt(1.0 - 1.0 / (c * c))
-    if _is_real(x) and _real(x) < 0.0:
-        return -t
-    return t
+    return _odd(principal_sqrt(1.0 - 1.0 / (c * c)), x)
 
 
 def nested_asinh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
     """nested_acosh of sqrt(1 + y**2), with the sign of real y."""
     v = nested_acosh(principal_sqrt(1.0 + y * y), depth, allow_deep=allow_deep)
-    if _is_real(y) and _real(y) < 0.0:
-        return -v
-    return v
+    return _odd(v, y)
 
 
 def nested_atanh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
@@ -132,9 +123,7 @@ def nested_atanh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Sca
     if d == 0:
         raise ZeroDivisionError("y is +-1; inverse hyperbolic tangent pole")
     v = nested_acosh(1.0 / principal_sqrt(d), depth, allow_deep=allow_deep)
-    if _is_real(y) and _real(y) < 0.0:
-        return -v
-    return v
+    return _odd(v, y)
 
 
 def nested_log(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
@@ -159,7 +148,7 @@ def nested_exp(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
 
 def exp_limit(x: Scalar, n: int) -> Scalar:
     """The classic limit (1 + x/n)**n by explicit square-and-multiply."""
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     base: Scalar = 1.0 + x / n
     result: Scalar = 1.0
@@ -179,7 +168,7 @@ def log_limit(y: Scalar, n: int) -> Scalar:
     n must be a power of two so the n-th root stays radical-only.
     Raises ZeroDivisionError at y = 0 (log pole).
     """
-    if n < 1 or n & (n - 1):
+    if not _is_int(n) or n < 1 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
     if y == 0:
         raise ZeroDivisionError("logarithm of zero")

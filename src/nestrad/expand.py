@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .core import _is_int
+
 __all__ = [
     "EXPANSION_DEPTH_CAP",
     "RationalPoly",
@@ -61,14 +63,10 @@ class RationalPoly:
         return acc
 
 
-def expand_nested_cos(depth: int, variant: str = "circular") -> RationalPoly:
-    """Exact expansion of the depth-fold chain on the two-term seed.
-
-    variant "circular" seeds 1 - x**2/2**(2*depth+1) (cosine);
-    "hyperbolic" flips the seed sign (hyperbolic cosine).
-    """
-    if (isinstance(depth, bool) or not isinstance(depth, int)
-            or not 1 <= depth <= EXPANSION_DEPTH_CAP):
+def _coefficients(depth: int, variant: str,
+                  last: int | None = None) -> list[Fraction]:
+    # c_0..c_last of the expansion, or all N + 1 when last is None or >= N.
+    if not _is_int(depth) or not 1 <= depth <= EXPANSION_DEPTH_CAP:
         raise ValueError(
             f"depth must be in 1..{EXPANSION_DEPTH_CAP}, got {depth}")
     if variant not in ("circular", "hyperbolic"):
@@ -81,22 +79,30 @@ def expand_nested_cos(depth: int, variant: str = "circular") -> RationalPoly:
     if variant == "circular":
         scale = -scale
     coeffs = [Fraction(1)]
-    for j in range(n):
+    for j in range(n if last is None else min(last, n)):
         coeffs.append(coeffs[-1] * Fraction(
             (n - j) * (n + j), (2 * j + 1) * (j + 1) * scale))
-    return RationalPoly(tuple(coeffs))
+    return coeffs
+
+
+def expand_nested_cos(depth: int, variant: str = "circular") -> RationalPoly:
+    """Exact expansion of the depth-fold chain on the two-term seed.
+
+    variant "circular" seeds 1 - x**2/2**(2*depth+1) (cosine);
+    "hyperbolic" flips the seed sign (hyperbolic cosine).
+    """
+    return RationalPoly(tuple(_coefficients(depth, variant)))
 
 
 def maclaurin_error_profile(depth: int, max_j: int) -> list[Fraction]:
     """Exact deviations c_j - (-1)**j/(2j)! of the circular expansion.
 
     Entry j compares coefficient j against the true cosine series,
-    for j = 0..max_j.
+    for j = 0..max_j.  Coefficients past the degree 2**depth are zero.
     """
-    if isinstance(max_j, bool) or not isinstance(max_j, int) or max_j < 1:
+    if not _is_int(max_j) or max_j < 1:
         raise ValueError(f"max_j must be a positive integer, got {max_j}")
-    poly = expand_nested_cos(depth, "circular")
-    return [
-        poly.coefficient(j) - Fraction((-1) ** j, factorial(2 * j))
-        for j in range(max_j + 1)
-    ]
+    coeffs = _coefficients(depth, "circular", max_j)
+    coeffs += [Fraction(0)] * (max_j + 1 - len(coeffs))
+    return [c - Fraction((-1) ** j, factorial(2 * j))
+            for j, c in enumerate(coeffs)]

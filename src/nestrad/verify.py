@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .branches import (
+    _reflect,
     branch_oracle_acos,
     extract_branch,
     gray_signs,
@@ -23,6 +24,9 @@ from .branches import (
 from .core import (
     EvalConfig,
     Scalar,
+    _is_int,
+    _is_real,
+    _real,
     check_depth,
     nested_cos,
     nested_cosh,
@@ -114,57 +118,33 @@ class ConvergenceRow:
     error_ratio: float
 
 
-def _branch_value_acos(z: Scalar, k: int) -> complex:
-    # Closed-form branch k: even k shifts by k*pi, odd k reflects off the
-    # next multiple of pi; negative k mirrors branch -k-1 through zero.
-    if k < 0:
-        return -_branch_value_acos(z, -k - 1)
-    x0 = ref_acos(z)
-    if k % 2 == 0:
-        return k * math.pi + x0
-    return (k + 1) * math.pi - x0
-
-
-def _is_real_interval(z: Scalar, lo: float, hi: float) -> bool:
-    if isinstance(z, complex):
-        if z.imag != 0.0:
-            return False
-        z = z.real
-    return lo <= z <= hi
-
-
 def _acos_oracle(z: Scalar, branch: int = 0) -> complex:
-    if _is_real_interval(z, -1.0, 1.0):
+    x = _real(z)
+    if _is_real(z) and -1.0 <= x <= 1.0:
         # Real arguments in range have exactly real branch values; the
         # closed form keeps the oracle free of log-formula roundoff.
-        y = z.real if isinstance(z, complex) else float(z)
-        if branch >= 0:
-            return complex(branch_oracle_acos(y, branch), 0.0)
-        return complex(-branch_oracle_acos(y, -branch - 1), 0.0)
-    return _branch_value_acos(z, branch)
+        return complex(_reflect(math.acos(x), branch), 0.0)
+    return _reflect(ref_acos(z), branch)
 
 
 def _acosh_oracle(z: Scalar, branch: int = 0) -> complex:
-    if branch == 0:
-        return ref_acosh(z)
-    if _is_real_interval(z, -1.0, 1.0):
+    x = _real(z)
+    if branch != 0 and _is_real(z) and -1.0 <= x <= 1.0:
         # On [-1, 1] the signed tower closes on a nonpositive real, so
         # every hyperbolic branch is exactly 1j times the circular one.
-        y = z.real if isinstance(z, complex) else float(z)
-        if branch >= 0:
-            return complex(0.0, branch_oracle_acos(y, branch))
-        return complex(0.0, -branch_oracle_acos(y, -branch - 1))
-    # No closed form is implemented for other arguments; measure against
-    # the principal value and let the report show the distance.
+        return complex(0.0, _reflect(math.acos(x), branch))
+    # Branch 0 is the principal value.  No closed form is implemented for
+    # other branches off [-1, 1]; measure against the principal value and
+    # let the report show the distance.
     return ref_acosh(z)
 
 
 def _std_oracle(real_fn: Callable[[float], float],
                 complex_fn: Callable[[complex], complex]) -> Callable[..., Scalar]:
     def oracle(z: Scalar, branch: int = 0) -> Scalar:
-        if isinstance(z, complex) and z.imag != 0.0:
+        if not _is_real(z):
             return complex_fn(z)
-        x = z.real if isinstance(z, complex) else float(z)
+        x = _real(z)
         try:
             return real_fn(x)
         except (ValueError, OverflowError):
@@ -283,9 +263,9 @@ def sweep_branches(k_max: int, step: int = 1,
     Arguments are checked here, before the first row is produced.
     """
     check_depth(depth)
-    if step < 1:
+    if not _is_int(step) or step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if not 0 < k_max < 2 ** (depth - 1):
+    if not _is_int(k_max) or not 0 < k_max < 2 ** (depth - 1):
         raise ValueError(
             f"k_max must satisfy 0 < k_max < 2**(depth-1), got {k_max} "
             f"at depth {depth}")

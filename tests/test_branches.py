@@ -58,6 +58,14 @@ def test_sign_sequence_range_errors():
         gray_adjacent_distance(-1, 4)
     with pytest.raises(ValueError, match="branch index 8 out of range"):
         gray_adjacent_distance(2 ** 3 - 1, 4)
+    # Indices and widths are ints; bool and float are rejected like a
+    # value out of range.
+    for k in (2.5, True, 1.0):
+        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+            gray_signs(k, 4)
+    for width in (4.0, True):
+        with pytest.raises(ValueError, match="width must be a positive integer"):
+            gray_signs(0, width)
 
 
 def test_adjacent_branches_differ_in_one_slot():
@@ -95,6 +103,11 @@ def test_negative_branch_range_error():
         nested_acos_branch(0.0, -512, 10)
     with pytest.raises(ValueError):
         nested_acosh_branch(0.0, -512, 10)
+    for k in (True, 2.5, -2.5, -1.0):
+        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+            nested_acos_branch(0.0, k, 10)
+        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+            nested_acosh_branch(0.0, k, 10)
 
 
 def test_branch_values_match_oracle_depth_15():
@@ -166,6 +179,9 @@ def test_branch_oracle_domain_errors():
         branch_oracle_acos(2.0, 0)
     with pytest.raises(ValueError, match=">= 0"):
         branch_oracle_acos(0.0, -1)
+    for k in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=">= 0"):
+            branch_oracle_acos(0.0, k)
 
 
 def test_acosh_branch_principal_of_minus_one():

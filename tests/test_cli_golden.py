@@ -33,6 +33,13 @@ ARGVS = [
     ["signs", "--branch", "100", "--width", "25"],
     ["expand", "--depth", "6"],
     ["expand", "--depth", "5", "--hyperbolic"],
+    ["eval", "acos", "-0.5", "--branch", "-3"],
+    ["eval", "acos", "2+3i", "--branch", "5", "--json"],
+    ["eval", "acosh", "0.5", "--branch", "-3"],
+    ["eval", "acosh", "2", "--branch", "1"],
+    ["eval", "atanh", "-0.5"],
+    ["eval", "asinh", "-3", "--json"],
+    ["eval", "tanh", "-1.5"],
 ]
 
 

@@ -52,8 +52,9 @@ def test_config_allow_deep_lifts_cap():
 
 
 def test_config_rejects_bad_seed_order():
-    with pytest.raises(ValueError, match="seed_order"):
-        EvalConfig(10, 5)
+    for order in (5, 2.0, True):
+        with pytest.raises(ValueError, match="seed_order"):
+            EvalConfig(10, order)
 
 
 def test_check_depth_boundaries():

@@ -160,8 +160,9 @@ def test_exp_limit_values():
 
 
 def test_exp_limit_validation():
-    with pytest.raises(ValueError, match="positive"):
-        exp_limit(1.0, 0)
+    for n in (0, True, 4.0, 2.5):
+        with pytest.raises(ValueError, match="positive"):
+            exp_limit(1.0, n)
 
 
 def test_log_limit_values():
@@ -171,8 +172,9 @@ def test_log_limit_values():
 
 
 def test_log_limit_validation():
-    with pytest.raises(ValueError, match="power of two"):
-        log_limit(2.0, 3)
+    for n in (3, True, 4.0):
+        with pytest.raises(ValueError, match="power of two"):
+            log_limit(2.0, n)
     with pytest.raises(ValueError):
         log_limit(2.0, 0)
     with pytest.raises(ZeroDivisionError):

@@ -71,6 +71,14 @@ def test_error_profile():
     assert maclaurin_error_profile(1, 1) == [Fraction(0), Fraction(0)]
     assert maclaurin_error_profile(2, 2) == [
         Fraction(0), Fraction(0), Fraction(-1, 384)]
+    # Past the degree 2**depth the coefficients are zero, so the entries
+    # are minus the cosine series terms.
+    assert maclaurin_error_profile(1, 4) == [
+        Fraction(0), Fraction(0), Fraction(-1, 96), Fraction(1, 720),
+        Fraction(-1, 40320)]
+    assert maclaurin_error_profile(2, 5) == [
+        Fraction(0), Fraction(0), Fraction(-1, 384), Fraction(19, 46080),
+        Fraction(-709, 41287680), Fraction(1, 3628800)]
 
 
 def test_error_profile_validation():

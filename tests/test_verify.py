@@ -173,6 +173,12 @@ def test_sweep_validation():
         list(sweep_branches(512, 1, 10))
     with pytest.raises(ValueError, match="step"):
         list(sweep_branches(3, 0))
+    for k_max in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="k_max"):
+            sweep_branches(k_max)
+    for step in (True, 1.5):
+        with pytest.raises(ValueError, match="step"):
+            sweep_branches(3, step)
 
 
 TABLE1_VALUES = [
