@@ -3,8 +3,11 @@
 Flipping the sign of the iterate after radical step m (counting from the
 innermost, m = 0) moves the final value between branches of the inverse.
 Consecutive branch indices k differ in exactly one sign when the signs
-are read off the binary reflected Gray code of k, which is what makes a
-k-sweep numerically cheap: one flip per increment.
+are read off the binary reflected Gray code of k.  A k-sweep does not
+reuse one tower per flip, since the low Gray bits that flip most often
+are the innermost radicals; instead branches that agree in their low
+Gray bits share those inner radicals, and core._towers computes them
+once for a whole batch of branches.
 """
 
 from __future__ import annotations

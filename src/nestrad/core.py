@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "DEPTH_CAP",
@@ -223,6 +223,31 @@ def _tower(y: Scalar, depth: int, gray: int,
         if out is not None:
             out.append(y)
     return (2.0 ** depth) * outer(y)
+
+
+def _towers(y: float, depth: int, grays: Sequence[int]) -> list[float]:
+    # _tower(y, depth, g, acos_outer) for every Gray code g in grays, with
+    # the same expression order, so each lane is bitwise equal to it.
+    # Precondition, kept by every caller: the arguments are validated and
+    # y is a real float in [-1, 1].  Then every radicand is a float in
+    # [0, 1], or [0, 4] for the closing map, where principal_sqrt is
+    # exactly math.sqrt.  Lanes that agree in their low m Gray bits share
+    # their first m radicals, so those levels are built once, as a full
+    # binary tree indexed by the low bits; the rest run lane by lane.
+    sqrt = math.sqrt
+    m = min(depth, (len(grays) - 1).bit_length())
+    level = [y]
+    for _ in range(m):
+        roots = [sqrt((v + 1.0) / 2.0) for v in level]
+        level = roots + [-r for r in roots]
+    low = len(level) - 1
+    lanes = [level[g & low] for g in grays]
+    for i in range(m, depth):
+        bit = 1 << i
+        lanes = [-sqrt((v + 1.0) / 2.0) if g & bit else sqrt((v + 1.0) / 2.0)
+                 for v, g in zip(lanes, grays)]
+    scale = 2.0 ** depth
+    return [scale * sqrt(2.0 * (1.0 - v)) for v in lanes]
 
 
 def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .branches import (
+    _gray,
     _reflect,
     branch_oracle_acos,
     extract_branch,
@@ -27,6 +28,7 @@ from .core import (
     _is_int,
     _is_real,
     _real,
+    _towers,
     check_depth,
     nested_cos,
     nested_cosh,
@@ -133,10 +135,16 @@ def _acosh_oracle(z: Scalar, branch: int = 0) -> complex:
         # On [-1, 1] the signed tower closes on a nonpositive real, so
         # every hyperbolic branch is exactly 1j times the circular one.
         return complex(0.0, _reflect(math.acos(x), branch))
-    # Branch 0 is the principal value.  No closed form is implemented for
-    # other branches off [-1, 1]; measure against the principal value and
-    # let the report show the distance.
-    return ref_acosh(z)
+    if branch == 0:
+        return ref_acosh(z)
+    if branch == -1:
+        return -ref_acosh(z)
+    # Off [-1, 1] branch k is +-1j times branch k of acos, a.  The closing
+    # radical picks the sign: y_depth - 1 is about -a**2 / 2**(2*depth + 1),
+    # and its principal root, negated with a for k < 0, is +1j*a exactly
+    # when a**2 lies below the real axis.
+    a = _reflect(ref_acos(z), branch)
+    return 1j * a if (a * a).imag < 0 else -1j * a
 
 
 def _std_oracle(real_fn: Callable[[float], float],
@@ -272,11 +280,21 @@ def sweep_branches(k_max: int, step: int = 1,
     return _sweep_rows(k_max, step, depth)
 
 
+#: Branches per _towers call in a sweep: enough lanes to share the inner
+#: radicals and amortize the list work, few enough that memory stays
+#: bounded for any k_max.
+_SWEEP_CHUNK = 4096
+
+
 def _sweep_rows(k_max: int, step: int,
                 depth: int) -> Iterator[tuple[int, float, float]]:
-    for k in range(0, k_max + 1, step):
-        extracted = extract_branch(nested_acos_branch(0.0, k, depth))
-        yield k, extracted, abs(extracted - k)
+    ks = range(0, k_max + 1, step)
+    for lo in range(0, len(ks), _SWEEP_CHUNK):
+        chunk = ks[lo:lo + _SWEEP_CHUNK]
+        values = _towers(0.0, depth, [_gray(k) for k in chunk])
+        for k, value in zip(chunk, values):
+            extracted = extract_branch(value)
+            yield k, extracted, abs(extracted - k)
 
 
 @dataclass(frozen=True)
@@ -308,12 +326,12 @@ def reproduce_table1(depth: int = 10) -> list[Table1Row]:
     check_depth(depth)
     if depth < 10:
         raise ValueError(f"table needs depth >= 10, got {depth}")
+    values = _towers(0.0, depth, [_gray(k) for k in range(8)])
     rows = []
-    for k in range(8):
+    for k, value in enumerate(values):
         signs = gray_signs(k, depth)
         pattern = "".join("+" if s > 0 else "-" for s in reversed(signs[:4]))
-        rows.append(Table1Row(k, pattern, nested_acos_branch(0.0, k, depth),
-                              branch_oracle_acos(0.0, k)))
+        rows.append(Table1Row(k, pattern, value, branch_oracle_acos(0.0, k)))
     return rows
 
 
@@ -322,9 +340,8 @@ def reproduce_table2(depth: int = 10) -> list[Table2Row]:
     check_depth(depth)
     if depth < 10:
         raise ValueError(f"table needs depth >= 10, got {depth}")
-    return [
-        Table2Row(k,
-                  nested_acos_branch(1.0, k, depth) / math.pi,
-                  nested_acos_branch(-1.0, k, depth) / math.pi)
-        for k in range(11)
-    ]
+    grays = [_gray(k) for k in range(11)]
+    plus = _towers(1.0, depth, grays)
+    minus = _towers(-1.0, depth, grays)
+    return [Table2Row(k, plus[k] / math.pi, minus[k] / math.pi)
+            for k in range(11)]

@@ -5,9 +5,10 @@ reports all violations together, so a verbose run prints exactly one
 line per criterion.  Pinned digits and tolerances sit next to the checks
 they guard.  Criteria the implementation cannot honestly meet fail
 loudly here instead of being weakened; README.md catalogs those known
-failures and their causes.  One further test, outside the criteria,
-recomputes the pins of criteria 1 and 4 from the nested formula at 60
-digits when mpmath is installed.
+failures and their causes.  Two further tests, outside the criteria,
+run when mpmath is installed: one recomputes the pins of criteria 1 and
+4 from the nested formula at 60 digits, the other checks the acosh
+branch oracle against the same formula.
 """
 
 import contextlib
@@ -542,24 +543,31 @@ def test_criterion_10_accuracy_statements():
 
 
 
+def _mp_tower(mpmath, y, depth, k, hyperbolic):
+    # The formula read off the paper, independent of nestrad: depth
+    # half-angle radicals, the iterate after radical m negated when bit
+    # m of the Gray code k ^ (k >> 1) is set, then the closing radical
+    # scaled by 2**depth.  mpmath.sqrt is principal with +i on the cut.
+    # Negative k is minus branch -k - 1.
+    if k < 0:
+        return -_mp_tower(mpmath, y, depth, -k - 1, hyperbolic)
+    gray = k ^ (k >> 1)
+    y = mpmath.mpmathify(y)
+    for m in range(depth):
+        y = mpmath.sqrt((y + 1) / 2)
+        if gray >> m & 1:
+            y = -y
+    return 2 ** depth * mpmath.sqrt(2 * (y - 1) if hyperbolic
+                                    else 2 * (1 - y))
+
+
 def test_pins_are_same_depth_formula_values():
     # Not a criterion: it checks that the pins of criteria 1 and 4 are the
     # values of the nested formula at the depth each criterion evaluates.
     mpmath = pytest.importorskip("mpmath")
 
     def tower(y, depth, k, hyperbolic):
-        # The formula read off the paper, independent of nestrad: depth
-        # half-angle radicals, the iterate after radical m negated when bit
-        # m of the Gray code k ^ (k >> 1) is set, then the closing radical
-        # scaled by 2**depth.  mpmath.sqrt is principal with +i on the cut.
-        gray = k ^ (k >> 1)
-        y = mpmath.mpmathify(y)
-        for m in range(depth):
-            y = mpmath.sqrt((y + 1) / 2)
-            if gray >> m & 1:
-                y = -y
-        return 2 ** depth * mpmath.sqrt(2 * (y - 1) if hyperbolic
-                                        else 2 * (1 - y))
+        return _mp_tower(mpmath, y, depth, k, hyperbolic)
 
     with mpmath.workdps(60):
         cases = [
@@ -581,4 +589,25 @@ def test_pins_are_same_depth_formula_values():
                 failures.append(f"{label}: pinned {pin!r}, formula gives "
                                 f"{mpmath.nstr(exact, 20)}, rel dev "
                                 f"{mpmath.nstr(dev, 3)} > 1e-15")
+    _assert_clean(failures)
+
+
+def test_acosh_branch_oracle_is_the_formulas_branch():
+    # Not a criterion: the acosh oracle must name the branch the signed
+    # tower converges to, for every k and on and off the real axis.  At
+    # depth 25 the formula is within 1e-15 of its limit here, so a wrong
+    # sheet (an error of order 1) cannot hide under the tolerance.
+    mpmath = pytest.importorskip("mpmath")
+    zs = [2.0, -3.0, 5.0, -1.5, 1.0000001, 2 + 3j, 2 - 3j, 0.5 + 0.2j,
+          -0.5 - 2j, 1.5j, 3 - 0.1j, 0.5, -0.9]
+    failures = []
+    with mpmath.workdps(40):
+        for z in zs:
+            for k in range(-4, 9):
+                oracle = eval_report("acosh", z, branch=k).oracle_value
+                exact = complex(_mp_tower(mpmath, z, 25, k, True))
+                dev = abs(oracle - exact) / max(abs(exact), 1.0)
+                if not dev <= 1e-12:
+                    failures.append(f"acosh({z}) branch {k}: oracle {oracle!r}, "
+                                    f"formula {exact!r}, rel dev {dev:.3e}")
     _assert_clean(failures)

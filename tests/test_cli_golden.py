@@ -6,6 +6,7 @@ intended:  PYTHONPATH=src python tests/test_cli_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -55,6 +56,17 @@ def transcript(argv):
 def test_cli_transcript_is_byte_identical(argv):
     recorded = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())}
     assert transcript(argv) == recorded[tuple(argv)]
+
+
+# sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the
+# per-branch sweep; the 16,385-line transcript is too large to store.
+SWEEP_16K_SHA256 = "de3da393a7b71e5ba8b0e43b9dec62769b4e24dd2f2a127fb29e2086338df5c2"
+
+
+def test_large_sweep_stdout_digest():
+    t = transcript(["sweep", "--kmax", "16383", "--depth", "25"])
+    assert (t["exit"], t["stderr"]) == (0, "")
+    assert hashlib.sha256(t["stdout"].encode()).hexdigest() == SWEEP_16K_SHA256
 
 
 if __name__ == "__main__":

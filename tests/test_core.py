@@ -1,6 +1,7 @@
 """Forward doubling chains, radical inverse towers, and their guards."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -25,6 +26,7 @@ from nestrad import (
     nested_cosh,
     principal_sqrt,
 )
+from nestrad.core import _tower, _towers
 
 EPS = sys.float_info.epsilon
 
@@ -325,3 +327,17 @@ def test_forward_inverse_round_trip():
     for i in range(30):
         x = 0.1 + 0.1 * i
         assert abs(nested_acos(nested_cos(x, EvalConfig(10, 4)), 10) - x) <= 1e-5
+
+
+@pytest.mark.parametrize("depth", [1, 2, 10, 25, 30])
+@pytest.mark.parametrize("y", [0.0, -0.0, 1.0, -1.0, 0.3, -0.7])
+def test_towers_match_single_tower_bitwise(y, depth):
+    # The batched kernel shares the inner radicals of lanes with equal low
+    # Gray bits; each lane must still be the single tower, bit for bit.
+    # Lane counts 1..3 and 4096/4097 sit on and around tree-size edges.
+    rng = random.Random(f"towers:{y!r}:{depth}")
+    lane_sets = [[k ^ (k >> 1) for k in range(n)] for n in (1, 2, 3, 4096, 4097)]
+    lane_sets.append(rng.sample(range(2 ** depth), min(300, 2 ** depth)))
+    for grays in lane_sets:
+        want = [_tower(y, depth, g, acos_outer) for g in grays]
+        assert repr(_towers(y, depth, grays)) == repr(want)

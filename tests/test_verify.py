@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,9 @@ from nestrad import (
     converge,
     eval_report,
     exp_limit,
+    extract_branch,
     make_report,
+    nested_acos_branch,
     nested_cos,
     ref_acos,
     ref_acosh,
@@ -164,6 +167,41 @@ def test_sweep_deep_endpoint():
 
 def test_sweep_is_deterministic():
     assert list(sweep_branches(20, 3, 12)) == list(sweep_branches(20, 3, 12))
+
+
+@pytest.mark.parametrize("k_max, step, depth",
+                         [(9000, 1, 25), (9000, 3, 20), (13000, 3, 20)])
+def test_sweep_matches_per_branch_towers(k_max, step, depth):
+    # Sweeps run in chunks of 4096 branches; (9000, 1) and (13000, 3)
+    # cross chunk boundaries.  Rows must be the per-branch values.
+    want = []
+    for k in range(0, k_max + 1, step):
+        extracted = extract_branch(nested_acos_branch(0.0, k, depth))
+        want.append((k, extracted, abs(extracted - k)))
+    assert repr(list(sweep_branches(k_max, step, depth))) == repr(want)
+
+
+def test_sweep_memory_stays_bounded():
+    # The sweep is lazy and chunked: its first row costs one chunk of
+    # lanes, not a list over all 2**20 branches (over 100 MB).
+    tracemalloc.start()
+    try:
+        next(sweep_branches(2 ** 20 - 1, 1, 21))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("depth", [10, 25, 30])
+def test_tables_match_per_branch_towers(depth):
+    t1 = reproduce_table1(depth)
+    assert repr([r.value for r in t1]) == repr(
+        [nested_acos_branch(0.0, k, depth) for k in range(8)])
+    t2 = reproduce_table2(depth)
+    assert repr([(r.at_plus_one, r.at_minus_one) for r in t2]) == repr(
+        [(nested_acos_branch(1.0, k, depth) / math.pi,
+          nested_acos_branch(-1.0, k, depth) / math.pi) for k in range(11)])
 
 
 def test_sweep_validation():
