@@ -4,6 +4,10 @@ Output is deterministic: fixed 15-significant-digit formatting, complex
 values as a+bi / a-bi with no spaces, zeros normalized to "0".  Exit
 codes: 0 success, 2 argument or validation error, 3 numeric error
 (overflow or pole).
+
+Each run builds the parser anew, and only the command it names gets its
+arguments; the other commands are registered with their help text alone,
+which is all that top-level help, usage and invalid-choice errors show.
 """
 
 from __future__ import annotations
@@ -122,10 +126,12 @@ def _cmd_converge(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     rows = sweep_branches(args.kmax, args.step, args.depth)
     print("k,extracted,abs_dev")
-    # A print per row would add about a fifth to the formatting time.
+    # One print per chunk; a print per row would add about a fifth to the
+    # formatting time.  "%.15g" is fmt_real here: it differs only on -0.0,
+    # which neither column can hold, since abs() never returns -0.0 and
+    # x - 0.5 is never -0.0 under round-to-nearest.
     while chunk := list(islice(rows, _SWEEP_CHUNK)):
-        print("\n".join(f"{k},{fmt_real(extracted)},{fmt_real(abs_dev)}"
-                        for k, extracted, abs_dev in chunk))
+        print("\n".join(map("%d,%.15g,%.15g".__mod__, chunk)))
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
@@ -182,15 +188,7 @@ def _add_depth(parser: argparse.ArgumentParser) -> None:
                         help="lift the depth cap of 30 (precision degrades)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nestrad",
-        description="Nested square-root and doubled-angle evaluation of "
-                    "elementary functions, with oracle comparison.")
-    _accept_negative_scalars(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate one function against its oracle")
+def _args_eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("fn", choices=sorted(FUNCTIONS))
     p.add_argument("arg", help="argument: a, ai, a+bi, a-bi")
     _add_depth(p)
@@ -200,49 +198,66 @@ def build_parser() -> argparse.ArgumentParser:
                    help="branch index for acos/acosh (default 0)")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit a single-line JSON report")
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("converge", help="error table over a depth range")
+
+def _args_converge(p: argparse.ArgumentParser) -> None:
     p.add_argument("fn", choices=sorted(FUNCTIONS))
     p.add_argument("arg")
     p.add_argument("--depths", required=True, help="range A..B or single depth")
     p.add_argument("--seed-order", type=int, default=2, dest="seed_order")
     p.add_argument("--allow-deep", action="store_true")
-    p.set_defaults(handler=_cmd_converge)
 
-    p = sub.add_parser("sweep", help="branch sweep of the inverse cosine of 0")
+
+def _args_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     _add_depth(p)
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("table1", help="branches of the inverse cosine of 0")
-    _add_depth(p)
-    p.set_defaults(handler=_cmd_table1)
 
-    p = sub.add_parser("table2", help="branches at +-1 divided by pi")
-    _add_depth(p)
-    p.set_defaults(handler=_cmd_table2)
-
-    p = sub.add_parser("expand", help="exact rational Maclaurin coefficients")
+def _args_expand(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--hyperbolic", action="store_true")
-    p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("signs", help="Gray-code sign pattern of a branch")
+
+def _args_signs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--branch", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--inner-first", action="store_true", dest="inner_first",
                    help="print innermost radical first (default outermost)")
-    p.set_defaults(handler=_cmd_signs)
 
-    for action in sub.choices.values():
-        _accept_negative_scalars(action)
+
+_COMMANDS = (
+    ("eval", "evaluate one function against its oracle", _args_eval, _cmd_eval),
+    ("converge", "error table over a depth range", _args_converge, _cmd_converge),
+    ("sweep", "branch sweep of the inverse cosine of 0", _args_sweep, _cmd_sweep),
+    ("table1", "branches of the inverse cosine of 0", _add_depth, _cmd_table1),
+    ("table2", "branches at +-1 divided by pi", _add_depth, _cmd_table2),
+    ("expand", "exact rational Maclaurin coefficients", _args_expand, _cmd_expand),
+    ("signs", "Gray-code sign pattern of a branch", _args_signs, _cmd_signs),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The nestrad parser; given argv, only commands named in it get arguments."""
+    parser = argparse.ArgumentParser(
+        prog="nestrad",
+        description="Nested square-root and doubled-angle evaluation of "
+                    "elementary functions, with oracle comparison.")
+    _accept_negative_scalars(parser)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_args, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _accept_negative_scalars(p)
+        if argv is None or name in argv:
+            add_args(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         args.handler(args)
     except ValueError as exc:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Sequence
 
 __all__ = [
@@ -161,16 +163,22 @@ def cosh_seed(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
 
 def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool,
              collect: bool) -> Scalar | list[Scalar]:
-    y = _seed(x, cfg.depth, cfg.seed_order, hyperbolic)
+    y = seed = _seed(x, cfg.depth, cfg.seed_order, hyperbolic)
     out = [y] if collect else None
-    for i in range(cfg.depth):
-        y = double_angle_step(y)
-        if not _is_finite(y):
-            raise OverflowError(
-                f"iterate left the floating-point range after doubling step "
-                f"{i + 1} of {cfg.depth}; a larger depth shrinks the seed argument")
+    # The doubling step is inlined.  NaN and inf persist under -1 + 2*y**2,
+    # so one check after the last step catches any non-finite iterate; only
+    # then is the chain re-run to name the step where it first appeared.
+    for _ in range(cfg.depth):
+        y = -1.0 + 2.0 * y * y
         if collect:
             out.append(y)
+    if not _is_finite(y):
+        step, y = 1, double_angle_step(seed)
+        while _is_finite(y):
+            step, y = step + 1, double_angle_step(y)
+        raise OverflowError(
+            f"iterate left the floating-point range after doubling step "
+            f"{step} of {cfg.depth}; a larger depth shrinks the seed argument")
     return out if collect else y
 
 
@@ -242,10 +250,21 @@ def _towers(y: float, depth: int, grays: Sequence[int]) -> list[float]:
         level = roots + [-r for r in roots]
     low = len(level) - 1
     lanes = [level[g & low] for g in grays]
+    # A level whose Gray bit is clear, or set, in every lane needs no
+    # per-lane test.  The Gray codes of an aligned run of 2**m indices
+    # differ only in their low m bits, so above the tree every level of
+    # an aligned sweep chunk takes one of these two paths.
+    any_set = reduce(or_, grays, 0)
+    all_set = reduce(and_, grays, any_set)
     for i in range(m, depth):
         bit = 1 << i
-        lanes = [-sqrt((v + 1.0) / 2.0) if g & bit else sqrt((v + 1.0) / 2.0)
-                 for v, g in zip(lanes, grays)]
+        if not any_set & bit:
+            lanes = [sqrt((v + 1.0) / 2.0) for v in lanes]
+        elif all_set & bit:
+            lanes = [-sqrt((v + 1.0) / 2.0) for v in lanes]
+        else:
+            lanes = [-sqrt((v + 1.0) / 2.0) if g & bit else sqrt((v + 1.0) / 2.0)
+                     for v, g in zip(lanes, grays)]
     scale = 2.0 ** depth
     return [scale * sqrt(2.0 * (1.0 - v)) for v in lanes]
 

@@ -17,7 +17,6 @@ from .branches import (
     _gray,
     _reflect,
     branch_oracle_acos,
-    extract_branch,
     gray_signs,
     nested_acos_branch,
     nested_acosh_branch,
@@ -288,13 +287,15 @@ _SWEEP_CHUNK = 4096
 
 def _sweep_rows(k_max: int, step: int,
                 depth: int) -> Iterator[tuple[int, float, float]]:
+    # extract_branch written out per chunk: on a float it is v / pi - 0.5.
+    pi = math.pi
     ks = range(0, k_max + 1, step)
     for lo in range(0, len(ks), _SWEEP_CHUNK):
         chunk = ks[lo:lo + _SWEEP_CHUNK]
-        values = _towers(0.0, depth, [_gray(k) for k in chunk])
-        for k, value in zip(chunk, values):
-            extracted = extract_branch(value)
-            yield k, extracted, abs(extracted - k)
+        extracted = [v / pi - 0.5
+                     for v in _towers(0.0, depth, [_gray(k) for k in chunk])]
+        yield from zip(chunk, extracted,
+                       [abs(e - k) for e, k in zip(extracted, chunk)])
 
 
 @dataclass(frozen=True)

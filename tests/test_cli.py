@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from nestrad import sweep_branches
 from nestrad.cli import fmt_real, fmt_scalar, main, parse_scalar
 
 
@@ -168,6 +169,18 @@ def test_sweep_csv():
         "2,1.99999387214632,6.12785368492297e-06\n"
         "3,2.99998318518459,1.68148154133796e-05\n"
     )
+
+
+@pytest.mark.parametrize("kmax, step, depth",
+                         [(1, 1, 2), (40, 1, 12), (9000, 3, 20), (13000, 3, 20)])
+def test_sweep_text_is_fmt_real_of_the_rows(kmax, step, depth):
+    # The CLI formats sweep rows with "%.15g" in place of fmt_real.
+    code, out, err = run_cli(["sweep", "--kmax", str(kmax), "--step", str(step),
+                              "--depth", str(depth)])
+    assert (code, err) == (0, "")
+    assert out == "k,extracted,abs_dev\n" + "".join(
+        f"{k},{fmt_real(e)},{fmt_real(d)}\n"
+        for k, e, d in sweep_branches(kmax, step, depth))
 
 
 def test_table1_layout():

@@ -1,19 +1,23 @@
 """Golden CLI transcripts: stdout, stderr and exit code, byte for byte.
 
-The argv set covers every subcommand that reads the radical tower plus the
-error paths.  Regenerate the recording only when a change to the output is
-intended:  PYTHONPATH=src python tests/test_cli_golden.py
+The argv set covers every subcommand that reads the radical tower, the
+error paths, and argparse's own help, usage and invalid-choice output
+(exit code from SystemExit, help wrapped at COLUMNS=80).  Regenerate the
+recording only when a change to the output is intended:
+PYTHONPATH=src python tests/test_cli_golden.py
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 import pytest
 
-from nestrad.cli import main
+from nestrad.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
@@ -41,21 +45,55 @@ ARGVS = [
     ["eval", "atanh", "-0.5"],
     ["eval", "asinh", "-3", "--json"],
     ["eval", "tanh", "-1.5"],
+    [],
+    ["--help"],
+    ["-h", "eval"],
+    ["bogus"],
+    ["eval"],
+    ["eval", "--help"],
+    ["converge", "-h"],
+    ["sweep", "--help"],
+    ["sweep", "--kmax", "x"],
+    ["table1", "-h"],
+    ["table2", "--depth", "x"],
+    ["expand", "-h"],
+    ["signs", "--help"],
+    ["eval", "cos", "1", "--bogus"],
 ]
 
 
 def transcript(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"argv": argv, "exit": code,
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a) or "(none)")
 def test_cli_transcript_is_byte_identical(argv):
     recorded = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())}
     assert transcript(argv) == recorded[tuple(argv)]
+
+
+def test_parser_for_argv_parses_like_the_full_parser():
+    # build_parser(argv) gives arguments only to the commands named in argv;
+    # on every recorded argv that parses, the namespace must not change.
+    parsed = 0
+    for argv in ARGVS:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                want = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            continue
+        assert vars(build_parser(argv).parse_args(argv)) == want, argv
+        parsed += 1
+    assert parsed == 23
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

@@ -197,6 +197,28 @@ def test_overflow_reports_the_doubling_step():
         nested_cos(1e80, EvalConfig(1, 2))
 
 
+@pytest.mark.parametrize("fn, x, step", [
+    (nested_cos, 1e200, 1),
+    (nested_cos, 3e5, 6),
+    (nested_cos, 2500.0, 10),
+    (nested_cos, complex(1e200, 1e200), 1),
+    (nested_cos, complex(3e5, 1.0), 6),
+    (nested_cos, 1500j, 10),
+    (nested_cosh, 3000.0, 9),
+    (nested_cos_sequence, 3e5, 6),
+    (nested_cos, math.nan, 1),
+    (nested_cos, complex(math.nan, 1.0), 1),
+])
+def test_overflow_names_the_first_nonfinite_step(fn, x, step):
+    # Finiteness is checked once, after the last step; the message still
+    # names the step where the iterate first left the floating-point range.
+    with pytest.raises(OverflowError) as info:
+        fn(x, EvalConfig(10))
+    assert str(info.value) == (
+        f"iterate left the floating-point range after doubling step {step} "
+        "of 10; a larger depth shrinks the seed argument")
+
+
 def test_error_ratio_window_second_order_seed():
     # Truncation shrinks 4x per extra level across the whole usable range.
     for x in (math.pi / 3, 1.0):
@@ -341,3 +363,23 @@ def test_towers_match_single_tower_bitwise(y, depth):
     for grays in lane_sets:
         want = [_tower(y, depth, g, acos_outer) for g in grays]
         assert repr(_towers(y, depth, grays)) == repr(want)
+
+
+@pytest.mark.parametrize("depth", [14, 22, 25])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_towers_uniform_levels_match_single_tower(c, depth):
+    # An aligned chunk of 4096 branch indices is the sweep's case: above
+    # the 12 tree levels every Gray bit is uniform across the lanes.
+    grays = [k ^ (k >> 1) for k in range(4096 * c, 4096 * (c + 1))]
+    want = [_tower(0.0, depth, g, acos_outer) for g in grays]
+    assert repr(_towers(0.0, depth, grays)) == repr(want)
+
+
+def test_towers_mixed_uniform_and_varying_levels():
+    # Three lanes build a two-level tree from bits 0 and 1.  Above it,
+    # bits 4 and 9 are set in every lane, bits 7 and 11 differ between
+    # lanes and the rest are clear: all three level paths run.
+    grays = [0b1010_1001_0000, 0b0010_0001_0011, 0b1010_0001_0000]
+    for y in (0.0, 0.3, -1.0):
+        want = [_tower(y, 14, g, acos_outer) for g in grays]
+        assert repr(_towers(y, 14, grays)) == repr(want)
