@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .core import _is_int
@@ -38,6 +39,7 @@ class RationalPoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
@@ -48,18 +50,27 @@ class RationalPoly:
 
     def coefficient(self, j: int) -> Fraction:
         """Coefficient of x**(2j); zero beyond the stored degree."""
-        if j < 0:
+        if not _is_int(j) or j < 0:
             raise ValueError(f"coefficient index must be >= 0, got {j}")
         if j < len(self.coeffs):
             return self.coeffs[j]
         return Fraction(0)
 
+    @cached_property
+    def _horner(self) -> tuple[float, ...]:
+        # Not a dataclass field, so ==, hash and repr ignore it.
+        return tuple(float(c) for c in reversed(self.coeffs))
+
     def evaluate(self, x: float) -> float:
-        """Floating-point Horner evaluation in u = x**2."""
+        """Floating-point Horner evaluation in u = x**2.
+
+        The coefficients are converted to float once per polynomial, on
+        the first call.
+        """
         u = x * x
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * u + float(c)
+        for c in self._horner:
+            acc = acc * u + c
         return acc
 
 

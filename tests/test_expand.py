@@ -136,5 +136,40 @@ def test_poly_construction_rules():
     p = RationalPoly((Fraction(1), Fraction(-1, 2)))
     assert len(p) == 2
     assert p.coefficient(7) == Fraction(0)
-    with pytest.raises(ValueError, match=">= 0"):
-        p.coefficient(-1)
+    for j in (-1, True, 2.0, 2.5):
+        with pytest.raises(ValueError, match=">= 0"):
+            p.coefficient(j)
+
+
+def test_poly_from_list_is_a_tuple_poly():
+    coeffs = [Fraction(1), Fraction(-1, 2), Fraction(1, 32)]
+    p = RationalPoly(coeffs)
+    q = RationalPoly(tuple(coeffs))
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    before = p.evaluate(0.5)
+    coeffs[1] = Fraction(7)
+    assert p.evaluate(0.5) == before == q.evaluate(0.5)
+
+
+def _evaluate_reference(coeffs, x):
+    # Reference: converts every coefficient again on every call.
+    u = x * x
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * u + float(c)
+    return acc
+
+
+@pytest.mark.parametrize("variant", ["circular", "hyperbolic"])
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_evaluate_matches_per_call_conversion(depth, variant):
+    # repr-equal also pins the sign of zero and the nan that the 0.0 start
+    # times an infinite u gives (x = 1e200 overflows u too), which a loop
+    # starting from the first nonzero coefficient would turn into +-inf.
+    poly = expand_nested_cos(depth, variant)
+    xs = (0.0, -0.0, 1e-300, 1e-3, 0.5, 1.0, -2.5, 40.0, 1e200,
+          math.inf, -math.inf, math.nan, 1 + 1j)
+    for _ in range(2):
+        for x in xs:
+            assert repr(poly.evaluate(x)) == repr(
+                _evaluate_reference(poly.coeffs, x)), x
