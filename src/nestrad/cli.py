@@ -174,24 +174,22 @@ def _cmd_signs(args: argparse.Namespace) -> None:
 def _accept_negative_scalars(parser: argparse.ArgumentParser) -> None:
     # Let values with a leading minus (-2+3i, -i, -1e-3) parse as
     # positionals; every option here is --long so this is unambiguous.
-    # Should this private knob vanish, "--" before the value still works.
-    try:
-        parser._negative_number_matcher = re.compile(r"^-[\d.i]")
-    except AttributeError:
-        pass
+    # If argparse stops reading this private attribute, "--" still works.
+    parser._negative_number_matcher = re.compile(r"^-[\d.i]")
 
 
 def _add_depth(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depth", type=int, default=10,
                         help="recursion depth n (default 10)")
-    parser.add_argument("--allow-deep", action="store_true",
-                        help="lift the depth cap of 30 (precision degrades)")
 
 
 def _args_eval(p: argparse.ArgumentParser) -> None:
+    _accept_negative_scalars(p)
     p.add_argument("fn", choices=sorted(FUNCTIONS))
     p.add_argument("arg", help="argument: a, ai, a+bi, a-bi")
     _add_depth(p)
+    p.add_argument("--allow-deep", action="store_true",
+                   help="lift the depth cap of 30 (precision degrades)")
     p.add_argument("--seed-order", type=int, default=2, dest="seed_order",
                    help="series terms in the seed, 1..4 (default 2)")
     p.add_argument("--branch", type=int, default=0,
@@ -201,6 +199,7 @@ def _args_eval(p: argparse.ArgumentParser) -> None:
 
 
 def _args_converge(p: argparse.ArgumentParser) -> None:
+    _accept_negative_scalars(p)
     p.add_argument("fn", choices=sorted(FUNCTIONS))
     p.add_argument("arg")
     p.add_argument("--depths", required=True, help="range A..B or single depth")
@@ -243,11 +242,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         prog="nestrad",
         description="Nested square-root and doubled-angle evaluation of "
                     "elementary functions, with oracle comparison.")
-    _accept_negative_scalars(parser)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_args, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _accept_negative_scalars(p)
         if argv is None or name in argv:
             add_args(p)
         p.set_defaults(handler=handler)

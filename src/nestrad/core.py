@@ -81,6 +81,11 @@ def check_depth(depth: int, *, allow_deep: bool = False) -> None:
             "if degraded precision is acceptable")
 
 
+def _check_seed_order(seed_order: int) -> None:
+    if not _is_int(seed_order) or seed_order not in (1, 2, 3, 4):
+        raise ValueError(f"seed_order must be in 1..4, got {seed_order}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Settings for the forward recursions.
@@ -96,8 +101,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         check_depth(self.depth, allow_deep=self.allow_deep)
-        if not _is_int(self.seed_order) or self.seed_order not in (1, 2, 3, 4):
-            raise ValueError(f"seed_order must be in 1..4, got {self.seed_order}")
+        _check_seed_order(self.seed_order)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -117,8 +121,8 @@ def principal_sqrt(z: Scalar) -> Scalar:
     part, so values that land exactly on the cut never drop to the lower
     sheet.  Other complex input goes through cmath.sqrt unchanged.
     """
-    # _is_real and _real written out: this runs depth times per branch in
-    # a sweep, where a function call per radical costs measurable time.
+    # _is_real and _real written out: scalar inverse and single-branch
+    # evaluations run this once per radical, where calls cost measurable time.
     if isinstance(z, complex) and z.imag != 0.0:
         return cmath.sqrt(z)
     x = z.real if isinstance(z, complex) else float(z)
@@ -223,7 +227,7 @@ def _tower(y: Scalar, depth: int, gray: int,
     # The one radical tower behind every inverse entry.  Bit m of the Gray
     # code gray negates the iterate after radical m, innermost m = 0, and
     # gray = 0 is the principal sheet.  Iterates go to out when given.
-    # The half-angle step is inlined; it is the hot path of branch sweeps.
+    # The half-angle step is inlined for scalar and single-branch inverses.
     for m in range(depth):
         y = principal_sqrt((y + 1.0) / 2.0)
         if gray >> m & 1:

@@ -24,6 +24,7 @@ from .branches import (
 from .core import (
     EvalConfig,
     Scalar,
+    _check_seed_order,
     _is_int,
     _is_real,
     _real,
@@ -166,7 +167,6 @@ class FunctionSpec:
     name: str
     evaluate: Callable[..., Scalar]  # (z, depth, seed_order, branch, allow_deep)
     oracle: Callable[..., Scalar]    # (z, branch)
-    takes_branch: bool = False
 
 
 def _sin_shift(x: Scalar, cfg: EvalConfig) -> Scalar:
@@ -181,7 +181,7 @@ def _spec(name: str, fn: Callable[..., Scalar], takes: str,
     takes says what fn accepts after z: "config" an EvalConfig, "depth" a
     depth, "branch" a branch index and a depth (acos and acosh, principal
     at branch 0), "limit" the limit index n = 2**depth, so that the limit
-    index scales like the chains.
+    index scales like the chains.  seed_order is checked for every kind.
     """
     takes_branch = takes == "branch"
 
@@ -190,6 +190,7 @@ def _spec(name: str, fn: Callable[..., Scalar], takes: str,
             raise ValueError("branch selection only applies to acos and acosh")
         if takes == "config":
             return fn(z, EvalConfig(depth, seed_order, allow_deep))
+        _check_seed_order(seed_order)
         if takes == "limit":
             check_depth(depth, allow_deep=allow_deep)
             return fn(z, 2 ** depth)
@@ -197,7 +198,7 @@ def _spec(name: str, fn: Callable[..., Scalar], takes: str,
             return fn(z, branch, depth, allow_deep=allow_deep)
         return fn(z, depth, allow_deep=allow_deep)
 
-    return FunctionSpec(name, evaluate, oracle, takes_branch)
+    return FunctionSpec(name, evaluate, oracle)
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {

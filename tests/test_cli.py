@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -268,12 +269,48 @@ def test_repeated_invocations_are_byte_identical():
     (["table2", "--depth", "0"], 2, "positive integer"),
     (["expand", "--depth", "13"], 2, "1..12"),
     (["expand", "--depth", "10"], 2, "PYTHONINTMAXSTRDIGITS"),
+    (["eval", "acos", "0.5", "--seed-order", "9"], 2,
+     "seed_order must be in 1..4"),
+    (["converge", "log", "2", "--depths", "4..5", "--seed-order", "0"], 2,
+     "seed_order must be in 1..4"),
+    (["converge", "cos", "1", "--depths", "4-7"], 2,
+     "could not parse depth range '4-7'"),
+    (["sweep", "--kmax", "3", "--depth", "12", "--allow-deep"], 2,
+     "unrecognized arguments: --allow-deep"),
+    (["table1", "--allow-deep"], 2, "unrecognized arguments: --allow-deep"),
+    (["table2", "--depth", "25", "--allow-deep"], 2,
+     "unrecognized arguments: --allow-deep"),
 ])
 def test_exit_codes_and_messages(argv, code, fragment):
     got, out, err = run_cli(argv)
     assert got == code
     assert fragment in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "acos", "0", "--depth", "31", "--allow-deep"],
+    ["converge", "acos", "0.3", "--depths", "30..31", "--allow-deep"],
+])
+def test_allow_deep_lifts_the_cap_where_it_is_read(argv):
+    got, out, err = run_cli(argv)
+    assert (got, err) == (0, "")
+    assert out.startswith(("value ", "depth,"))
+
+
+def test_converge_single_depth():
+    code, out, err = run_cli(["converge", "cos", "1", "--depths", "7"])
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header == "depth,value,abs_error,error_ratio"
+    assert row.startswith("7,") and row.endswith(",0")
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["nestrad", "signs", "--branch", "2",
+                                      "--width", "4"])
+    assert main() == 0
+    assert capsys.readouterr().out == "++--\n"
 
 
 def test_unknown_function_is_an_argument_error():

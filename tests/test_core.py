@@ -24,6 +24,7 @@ from nestrad import (
     nested_cos,
     nested_cos_sequence,
     nested_cosh,
+    nested_cosh_sequence,
     principal_sqrt,
 )
 from nestrad.core import _tower, _towers
@@ -256,6 +257,13 @@ def test_cosh_matches_cos_of_rotated_argument():
 def test_cosh_of_two():
     assert nested_cosh(1.316957896924817, DEFAULT_CONFIG) == pytest.approx(
         2.0, abs=1e-6)
+
+
+def test_cosh_iterate_sequence():
+    cfg = EvalConfig(6, 3)
+    seq = nested_cosh_sequence(1.5, cfg)
+    assert len(seq) == 7
+    assert repr(seq[-1]) == repr(nested_cosh(1.5, cfg))
 
 
 @pytest.mark.parametrize("y,depth,expected,tol", [

@@ -99,6 +99,20 @@ def test_eval_report_negative_branch_of_acosh():
     assert r.abs_error <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["acos", "asin", "log", "exp-limit"])
+@pytest.mark.parametrize("order", [0, 5, 2.0, True])
+def test_eval_report_checks_seed_order_without_a_seed(name, order):
+    # The inverse and limit routes take no seed, but accept the same orders.
+    with pytest.raises(ValueError, match="seed_order must be in 1..4"):
+        eval_report(name, 0.5, seed_order=order)
+
+
+def test_std_oracle_complex_and_out_of_domain_input():
+    assert FUNCTIONS["cos"].oracle(1 + 1j, 0) == cmath.cos(1 + 1j)
+    assert FUNCTIONS["asin"].oracle(2.0, 0) == cmath.asin(complex(2.0, 0.0))
+    assert FUNCTIONS["log"].oracle(-1.0, 0) == cmath.log(complex(-1.0, 0.0))
+
+
 def test_eval_report_limit_and_shift_routes():
     assert eval_report("exp-limit", 1.0, depth=20).value == \
         exp_limit(1.0, 2 ** 20)
