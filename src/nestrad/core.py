@@ -40,13 +40,17 @@ __all__ = [
 
 Scalar = float | complex
 
-#: The 2**n prefactor of the inverse chain amplifies the quantization of
+#: The cap is a guard, not the depth where accuracy runs out; that depends
+#: on the angle.  Small angles are limited by roundoff, well below the cap:
+#: the 2**n prefactor of the inverse chain amplifies the quantization of
 #: iterates pinned against 1.0 faster than the 4**-n truncation term
-#: shrinks, and double-precision results degrade silently well below this
-#: cap.  For nested_acos(0) roundoff overtakes truncation between depths
-#: 12 and 14, the error is 1e-2 at depth 24, and from depth 28 on the
-#: result is 0.0, off by pi/2.  The cap only rejects depths where no
-#: correct digit is left; it does not mark where accuracy starts to fall.
+#: shrinks, so for nested_acos(0) roundoff overtakes truncation between
+#: depths 12 and 14, the error is 1e-2 at depth 24, and from depth 28 on
+#: the result is 0.0, off by pi/2.  Large branches and large |x| are
+#: limited by truncation and still gain digits past the cap: branch 10**6
+#: of nested_acos_branch(0) is 3.6e-7 relative off at depth 30 and 5.9e-9
+#: at depth 33, nested_cos(1e6) 1.2e-2 and 7.3e-5 absolute, and branches
+#: k >= 2**29 exist only past it.
 DEPTH_CAP = 30
 
 _EVEN_FACTORIALS = (1.0, 2.0, 24.0, 720.0)  # (2j)! for j = 0..3
@@ -77,8 +81,8 @@ def check_depth(depth: int, *, allow_deep: bool = False) -> None:
         raise ValueError(f"depth must be a positive integer, got {depth}")
     if depth > DEPTH_CAP and not allow_deep:
         raise ValueError(
-            f"depth {depth} exceeds the cap of {DEPTH_CAP}; pass allow_deep=True "
-            "if degraded precision is acceptable")
+            f"depth {depth} exceeds the cap of {DEPTH_CAP}; only entry points "
+            "that take allow_deep can lift it")
 
 
 def _check_seed_order(seed_order: int) -> None:
@@ -92,7 +96,8 @@ class EvalConfig:
 
     depth       number of doubling steps, >= 1
     seed_order  number of series terms in the seed, 1..4
-    allow_deep  lift the depth cap (precision degrades past it)
+    allow_deep  lift the depth cap; past it small |x| loses accuracy and
+                large |x| can still gain it (see DEPTH_CAP)
     """
 
     depth: int = 10
@@ -105,12 +110,6 @@ class EvalConfig:
 
 
 DEFAULT_CONFIG = EvalConfig()
-
-
-def _is_finite(v: Scalar) -> bool:
-    if isinstance(v, complex):
-        return cmath.isfinite(v)
-    return math.isfinite(v)
 
 
 def principal_sqrt(z: Scalar) -> Scalar:
@@ -176,9 +175,9 @@ def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool,
         y = -1.0 + 2.0 * y * y
         if collect:
             out.append(y)
-    if not _is_finite(y):
+    if not cmath.isfinite(y):
         step, y = 1, double_angle_step(seed)
-        while _is_finite(y):
+        while cmath.isfinite(y):
             step, y = step + 1, double_angle_step(y)
         raise OverflowError(
             f"iterate left the floating-point range after doubling step "

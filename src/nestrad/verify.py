@@ -164,7 +164,6 @@ def _std_oracle(real_fn: Callable[[float], float],
 class FunctionSpec:
     """A nested evaluator paired with its reference oracle."""
 
-    name: str
     evaluate: Callable[..., Scalar]  # (z, depth, seed_order, branch, allow_deep)
     oracle: Callable[..., Scalar]    # (z, branch)
 
@@ -174,7 +173,7 @@ def _sin_shift(x: Scalar, cfg: EvalConfig) -> Scalar:
     return nested_cos(x - math.pi / 2, cfg)
 
 
-def _spec(name: str, fn: Callable[..., Scalar], takes: str,
+def _spec(fn: Callable[..., Scalar], takes: str,
           oracle: Callable[..., Scalar]) -> FunctionSpec:
     """Pair fn with its oracle behind the one evaluate adapter.
 
@@ -198,29 +197,27 @@ def _spec(name: str, fn: Callable[..., Scalar], takes: str,
             return fn(z, branch, depth, allow_deep=allow_deep)
         return fn(z, depth, allow_deep=allow_deep)
 
-    return FunctionSpec(name, evaluate, oracle)
+    return FunctionSpec(evaluate, oracle)
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
-    spec.name: spec for spec in [
-        _spec("cos", nested_cos, "config", _std_oracle(math.cos, cmath.cos)),
-        _spec("sin", nested_sin, "config", _std_oracle(math.sin, cmath.sin)),
-        _spec("tan", nested_tan, "config", _std_oracle(math.tan, cmath.tan)),
-        _spec("cosh", nested_cosh, "config", _std_oracle(math.cosh, cmath.cosh)),
-        _spec("sinh", nested_sinh, "config", _std_oracle(math.sinh, cmath.sinh)),
-        _spec("tanh", nested_tanh, "config", _std_oracle(math.tanh, cmath.tanh)),
-        _spec("exp", nested_exp, "config", _std_oracle(math.exp, cmath.exp)),
-        _spec("acos", nested_acos_branch, "branch", _acos_oracle),
-        _spec("acosh", nested_acosh_branch, "branch", _acosh_oracle),
-        _spec("asin", nested_asin, "depth", _std_oracle(math.asin, cmath.asin)),
-        _spec("atan", nested_atan, "depth", _std_oracle(math.atan, cmath.atan)),
-        _spec("asinh", nested_asinh, "depth", _std_oracle(math.asinh, cmath.asinh)),
-        _spec("atanh", nested_atanh, "depth", _std_oracle(math.atanh, cmath.atanh)),
-        _spec("log", nested_log, "depth", _std_oracle(math.log, cmath.log)),
-        _spec("exp-limit", exp_limit, "limit", _std_oracle(math.exp, cmath.exp)),
-        _spec("log-limit", log_limit, "limit", _std_oracle(math.log, cmath.log)),
-        _spec("sin-shift", _sin_shift, "config", _std_oracle(math.sin, cmath.sin)),
-    ]
+    "cos": _spec(nested_cos, "config", _std_oracle(math.cos, cmath.cos)),
+    "sin": _spec(nested_sin, "config", _std_oracle(math.sin, cmath.sin)),
+    "tan": _spec(nested_tan, "config", _std_oracle(math.tan, cmath.tan)),
+    "cosh": _spec(nested_cosh, "config", _std_oracle(math.cosh, cmath.cosh)),
+    "sinh": _spec(nested_sinh, "config", _std_oracle(math.sinh, cmath.sinh)),
+    "tanh": _spec(nested_tanh, "config", _std_oracle(math.tanh, cmath.tanh)),
+    "exp": _spec(nested_exp, "config", _std_oracle(math.exp, cmath.exp)),
+    "acos": _spec(nested_acos_branch, "branch", _acos_oracle),
+    "acosh": _spec(nested_acosh_branch, "branch", _acosh_oracle),
+    "asin": _spec(nested_asin, "depth", _std_oracle(math.asin, cmath.asin)),
+    "atan": _spec(nested_atan, "depth", _std_oracle(math.atan, cmath.atan)),
+    "asinh": _spec(nested_asinh, "depth", _std_oracle(math.asinh, cmath.asinh)),
+    "atanh": _spec(nested_atanh, "depth", _std_oracle(math.atanh, cmath.atanh)),
+    "log": _spec(nested_log, "depth", _std_oracle(math.log, cmath.log)),
+    "exp-limit": _spec(exp_limit, "limit", _std_oracle(math.exp, cmath.exp)),
+    "log-limit": _spec(log_limit, "limit", _std_oracle(math.log, cmath.log)),
+    "sin-shift": _spec(_sin_shift, "config", _std_oracle(math.sin, cmath.sin)),
 }
 
 

@@ -280,6 +280,8 @@ def test_repeated_invocations_are_byte_identical():
     (["table1", "--allow-deep"], 2, "unrecognized arguments: --allow-deep"),
     (["table2", "--depth", "25", "--allow-deep"], 2,
      "unrecognized arguments: --allow-deep"),
+    (["sweep", "--kmax", "3", "--depth", "31"], 2,
+     "only entry points that take allow_deep can lift it"),
 ])
 def test_exit_codes_and_messages(argv, code, fragment):
     got, out, err = run_cli(argv)

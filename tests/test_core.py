@@ -18,6 +18,7 @@ from nestrad import (
     double_angle_step,
     half_angle_step,
     nested_acos,
+    nested_acos_branch,
     nested_acos_sequence,
     nested_acosh,
     nested_acosh_sequence,
@@ -315,6 +316,23 @@ def test_depth_cap_enforced_on_inverse():
     # With the override the depth runs, at total precision loss: the
     # iterate saturates at 1.0 and the closing radical returns zero.
     assert nested_acos(0.0, DEPTH_CAP + 1, allow_deep=True) == 0.0
+
+
+def test_large_angles_gain_digits_past_the_cap():
+    # Truncation, not roundoff, limits large branches and large |x|, so
+    # lifting the cap buys them digits (as the DEPTH_CAP comment says).
+    k = 10 ** 6
+    exact = (2 * k + 1) * math.pi / 2
+
+    def branch_err(d):
+        return abs(nested_acos_branch(0.0, k, d, allow_deep=True) - exact) / exact
+
+    def cos_err(d):
+        return abs(nested_cos(1e6, EvalConfig(d, 2, allow_deep=True))
+                   - math.cos(1e6))
+
+    assert branch_err(DEPTH_CAP) > 1e-7 and branch_err(33) < 1e-8
+    assert cos_err(DEPTH_CAP) > 5e-3 and cos_err(33) < 1e-3
 
 
 SEQ_ACOS0_D4 = [

@@ -1,6 +1,7 @@
 """Reference oracles, error reports, convergence tables, and reproductions."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from nestrad import (
     DEFAULT_CONFIG,
     FUNCTIONS,
+    FunctionSpec,
     converge,
     eval_report,
     exp_limit,
@@ -121,11 +123,14 @@ def test_eval_report_limit_and_shift_routes():
 
 
 def test_registered_function_names():
-    assert set(FUNCTIONS) == {
-        "cos", "sin", "tan", "cosh", "sinh", "tanh", "exp",
-        "acos", "asin", "atan", "acosh", "asinh", "atanh",
-        "log", "exp-limit", "log-limit", "sin-shift",
-    }
+    # The 17 names eval offers; a name is a key, not a FunctionSpec field.
+    assert sorted(FUNCTIONS) == [
+        "acos", "acosh", "asin", "asinh", "atan", "atanh", "cos", "cosh",
+        "exp", "exp-limit", "log", "log-limit", "sin", "sin-shift", "sinh",
+        "tan", "tanh",
+    ]
+    assert [f.name for f in dataclasses.fields(FunctionSpec)] == [
+        "evaluate", "oracle"]
 
 
 def test_converge_known_rows():
@@ -281,6 +286,20 @@ def test_table2_degenerate_pairs_bitwise():
         assert rows[2 * j - 1].at_plus_one == rows[2 * j].at_plus_one
     for j in range(0, 5):
         assert rows[2 * j].at_minus_one == rows[2 * j + 1].at_minus_one
+
+
+@pytest.mark.parametrize("fn, args", [
+    (sweep_branches, (3, 1, 31)),
+    (reproduce_table1, (31,)),
+    (reproduce_table2, (31,)),
+])
+def test_cap_message_offers_no_option_the_caller_lacks(fn, args):
+    # These callers take no allow_deep, so the message must not ask for it.
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == (
+        "depth 31 exceeds the cap of 30; only entry points that take "
+        "allow_deep can lift it")
 
 
 @pytest.mark.parametrize("fn", [reproduce_table1, reproduce_table2])
