@@ -22,7 +22,8 @@ def table(rows):
 
 if __name__ == "__main__":
     cfg = DEFAULT_CONFIG
-    print("circular functions via the shifted chain")
+    print("sin and tan are the roots of 1 - c**2 and c**-2 - 1 on the cosine")
+    print("chain c; atan is acos of 1/sqrt(1 + y**2)")
     table([
         ("nested_sin(1)", nested_sin(1.0, cfg), math.sin(1.0)),
         ("nested_tan(1)", nested_tan(1.0, cfg), math.tan(1.0)),
@@ -39,7 +40,7 @@ if __name__ == "__main__":
     print(f"  nested_log(-1) = {z.imag:.12f}i, pi = {math.pi:.12f}")
     print()
 
-    print("exp inverts the log tower through cosh + sinh")
+    print("exp is cosh + sinh, both from one cosh chain")
     table([
         ("nested_exp(1)", nested_exp(1.0, cfg), math.e),
         ("nested_exp(-2)", nested_exp(-2.0, cfg), math.exp(-2.0)),

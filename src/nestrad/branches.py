@@ -44,7 +44,7 @@ def _check_index(k: int, width: int) -> None:
         raise ValueError(f"width must be a positive integer, got {width}")
     if not _is_int(k) or not 0 <= k < 2 ** (width - 1):
         raise ValueError(
-            f"branch index {k} out of range for width {width}; "
+            f"branch index {k!r} out of range for width {width}; "
             f"need 0 <= k < {2 ** (width - 1)}")
 
 
@@ -71,12 +71,13 @@ def gray_adjacent_distance(k: int, width: int) -> int:
 def _branch(y: Scalar, k: int, depth: int, allow_deep: bool,
             outer: Callable[[Scalar], Scalar]) -> Scalar:
     check_depth(depth, allow_deep=allow_deep)
-    if k >= 0:
+    # A k that is not a real number goes to _check_index, which rejects it.
+    if not isinstance(k, (int, float)) or k >= 0:
         _check_index(k, depth)
         return _tower(y, depth, _gray(k), outer)
     if not _is_int(k) or -k >= 2 ** (depth - 1):
         raise ValueError(
-            f"branch index {k} out of range for depth {depth}; "
+            f"branch index {k!r} out of range for depth {depth}; "
             f"need |k| < {2 ** (depth - 1)}")
     return -_tower(y, depth, _gray(-k - 1), outer)
 

@@ -171,6 +171,17 @@ def _cmd_signs(args: argparse.Namespace) -> None:
     print("".join("+" if s > 0 else "-" for s in signs))
 
 
+class _Parser(argparse.ArgumentParser):
+    # Newer argparse releases (3.13.13 among them) print the choices of an
+    # invalid-choice error unquoted; this is the quoted wording of earlier
+    # ones, so the error reads the same on every Python.
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 def _accept_negative_scalars(parser: argparse.ArgumentParser) -> None:
     # Let values with a leading minus (-2+3i, -i, -1e-3) parse as
     # positionals; every option here is --long so this is unambiguous.
@@ -189,7 +200,9 @@ def _args_eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("arg", help="argument: a, ai, a+bi, a-bi")
     _add_depth(p)
     p.add_argument("--allow-deep", action="store_true",
-                   help="lift the depth cap of 30 (precision degrades)")
+                   help="lift the depth cap of 30: past it, small angles lose "
+                        "digits to roundoff, while large |x| and large "
+                        "branches can still gain them")
     p.add_argument("--seed-order", type=int, default=2, dest="seed_order",
                    help="series terms in the seed, 1..4 (default 2)")
     p.add_argument("--branch", type=int, default=0,
@@ -238,7 +251,7 @@ _COMMANDS = (
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The nestrad parser; given argv, only commands named in it get arguments."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nestrad",
         description="Nested square-root and doubled-angle evaluation of "
                     "elementary functions, with oracle comparison.")

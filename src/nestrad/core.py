@@ -164,25 +164,33 @@ def cosh_seed(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     return _seed(x, cfg.depth, cfg.seed_order, hyperbolic=True)
 
 
-def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool,
-             collect: bool) -> Scalar | list[Scalar]:
+def _trace(y: Scalar, step: Callable[[Scalar], Scalar], n: int) -> list[Scalar]:
+    # y and its first n images under step; the one recorder of iterates.
+    ys = [y]
+    for _ in range(n):
+        ys.append(step(ys[-1]))
+    return ys
+
+
+def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool) -> Scalar:
     y = seed = _seed(x, cfg.depth, cfg.seed_order, hyperbolic)
-    out = [y] if collect else None
     # The doubling step is inlined.  NaN and inf persist under -1 + 2*y**2,
     # so one check after the last step catches any non-finite iterate; only
     # then is the chain re-run to name the step where it first appeared.
     for _ in range(cfg.depth):
         y = -1.0 + 2.0 * y * y
-        if collect:
-            out.append(y)
-    if not cmath.isfinite(y):
-        step, y = 1, double_angle_step(seed)
-        while cmath.isfinite(y):
-            step, y = step + 1, double_angle_step(y)
+    return y if cmath.isfinite(y) else _doublings(seed, cfg)[-1]
+
+
+def _doublings(seed: Scalar, cfg: EvalConfig) -> list[Scalar]:
+    ys = _trace(seed, double_angle_step, cfg.depth)
+    if not cmath.isfinite(ys[-1]):
+        # Entry m follows doubling step m; a NaN seed fails at step 1.
+        step = list(map(cmath.isfinite, ys)).index(False, 1)
         raise OverflowError(
             f"iterate left the floating-point range after doubling step "
             f"{step} of {cfg.depth}; a larger depth shrinks the seed argument")
-    return out if collect else y
+    return ys
 
 
 def nested_cos(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
@@ -192,22 +200,22 @@ def nested_cos(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     when an iterate overflows (large |x| at small depth): each doubling
     step roughly squares a deviation that escapes the unit interval.
     """
-    return _forward(x, cfg, hyperbolic=False, collect=False)
+    return _forward(x, cfg, hyperbolic=False)
 
 
 def nested_cosh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     """Approximate cosh(x) with the all-positive seed; otherwise as nested_cos."""
-    return _forward(x, cfg, hyperbolic=True, collect=False)
+    return _forward(x, cfg, hyperbolic=True)
 
 
 def nested_cos_sequence(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Scalar]:
     """All forward iterates [seed, ..., value]; the last entry is nested_cos."""
-    return _forward(x, cfg, hyperbolic=False, collect=True)
+    return _doublings(cos_seed(x, cfg), cfg)
 
 
 def nested_cosh_sequence(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Scalar]:
     """Hyperbolic counterpart of nested_cos_sequence."""
-    return _forward(x, cfg, hyperbolic=True, collect=True)
+    return _doublings(cosh_seed(x, cfg), cfg)
 
 
 def acos_outer(y: Scalar) -> Scalar:
@@ -221,18 +229,15 @@ def acosh_outer(y: Scalar) -> Scalar:
 
 
 def _tower(y: Scalar, depth: int, gray: int,
-           outer: Callable[[Scalar], Scalar],
-           out: list[Scalar] | None = None) -> Scalar:
+           outer: Callable[[Scalar], Scalar]) -> Scalar:
     # The one radical tower behind every inverse entry.  Bit m of the Gray
     # code gray negates the iterate after radical m, innermost m = 0, and
-    # gray = 0 is the principal sheet.  Iterates go to out when given.
+    # gray = 0 is the principal sheet.
     # The half-angle step is inlined for scalar and single-branch inverses.
     for m in range(depth):
         y = principal_sqrt((y + 1.0) / 2.0)
         if gray >> m & 1:
             y = -y
-        if out is not None:
-            out.append(y)
     return (2.0 ** depth) * outer(y)
 
 
@@ -296,15 +301,13 @@ def nested_acos_sequence(y: Scalar, depth: int = 10, *,
     Returns depth + 1 entries; the last one equals nested_acos(y, depth).
     """
     check_depth(depth, allow_deep=allow_deep)
-    out: list[Scalar] = []
-    out.append(_tower(y, depth, 0, acos_outer, out))
-    return out
+    ys = _trace(y, half_angle_step, depth)[1:]
+    return ys + [(2.0 ** depth) * acos_outer(ys[-1])]
 
 
 def nested_acosh_sequence(y: Scalar, depth: int = 10, *,
                           allow_deep: bool = False) -> list[Scalar]:
     """Hyperbolic counterpart of nested_acos_sequence."""
     check_depth(depth, allow_deep=allow_deep)
-    out: list[Scalar] = []
-    out.append(_tower(y, depth, 0, acosh_outer, out))
-    return out
+    ys = _trace(y, half_angle_step, depth)[1:]
+    return ys + [(2.0 ** depth) * acosh_outer(ys[-1])]

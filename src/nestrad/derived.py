@@ -18,6 +18,7 @@ from .core import (
     _is_int,
     _is_real,
     _real,
+    _trace,
     nested_acos,
     nested_acosh,
     nested_cos,
@@ -142,8 +143,9 @@ def nested_log(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scala
 
 
 def nested_exp(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
-    """exp(x) as nested_cosh(x) + nested_sinh(x) (sign-corrected sinh)."""
-    return nested_cosh(x, cfg) + nested_sinh(x, cfg)
+    """exp(x) as nested_cosh(x) + nested_sinh(x), from one cosh chain."""
+    c = nested_cosh(x, cfg)
+    return c + _odd(principal_sqrt(c * c - 1.0), x)
 
 
 def exp_limit(x: Scalar, n: int) -> Scalar:
@@ -172,9 +174,4 @@ def log_limit(y: Scalar, n: int) -> Scalar:
         raise ValueError(f"n must be a power of two, got {n}")
     if y == 0:
         raise ZeroDivisionError("logarithm of zero")
-    r: Scalar = y
-    k = n
-    while k > 1:
-        r = principal_sqrt(r)
-        k >>= 1
-    return n * (r - 1.0)
+    return n * (_trace(y, principal_sqrt, n.bit_length() - 1)[-1] - 1.0)

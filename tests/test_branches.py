@@ -108,6 +108,12 @@ def test_negative_branch_range_error():
             nested_acos_branch(0.0, k, 10)
         with pytest.raises(ValueError, match=f"branch index {k} out of range"):
             nested_acosh_branch(0.0, k, 10)
+    # An index that does not compare with 0 is rejected the same way, not
+    # with a TypeError from the sign test.
+    for k in ("3", None, 1j):
+        for branch in (nested_acos_branch, nested_acosh_branch):
+            with pytest.raises(ValueError, match="branch index .* out of range"):
+                branch(0.0, k, 10)
 
 
 def test_branch_values_match_oracle_depth_15():

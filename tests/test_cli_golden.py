@@ -59,6 +59,8 @@ ARGVS = [
     ["expand", "-h"],
     ["signs", "--help"],
     ["eval", "cos", "1", "--bogus"],
+    ["eval", "nosuch", "1"],
+    ["converge", "nosuch", "1", "--depths", "4"],
 ]
 
 

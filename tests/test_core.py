@@ -365,6 +365,41 @@ def test_inverse_sequence_shapes():
     assert seqh[-1] == nested_acosh(2.0, 6)
 
 
+@pytest.mark.parametrize("cfg", [EvalConfig(1, 1), EvalConfig(10, 2),
+                                 EvalConfig(25, 4)])
+@pytest.mark.parametrize("x", [0.0, 1.0, -2.5, math.pi / 3, 0.3 + 0.4j, 2j,
+                               -1.5 - 2.0j])
+def test_forward_sequences_are_the_recorded_chain(x, cfg):
+    # Each entry is the public doubling step of the one before, and the last
+    # is the scalar entry, all by repr, so no second chain can drift apart.
+    for seq, seed, scalar in ((nested_cos_sequence, cos_seed, nested_cos),
+                              (nested_cosh_sequence, cosh_seed, nested_cosh)):
+        ys = seq(x, cfg)
+        assert len(ys) == cfg.depth + 1
+        assert repr(ys[0]) == repr(seed(x, cfg))
+        for prev, y in zip(ys, ys[1:]):
+            assert repr(y) == repr(double_angle_step(prev))
+        assert repr(ys[-1]) == repr(scalar(x, cfg))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 10, 25])
+@pytest.mark.parametrize("y", [-1.0, -0.3, 0.0, 0.5, 1.0, 1.5, 10.0,
+                               2 + 3j, -2 + 3j, 0.3 - 0.1j])
+def test_inverse_sequences_are_the_recorded_tower(y, depth):
+    # Entry 0 is the first half-angle image of y, each later radical is the
+    # public half-angle step of the one before, and the closing entry is the
+    # scaled closing map of the last radical and the scalar entry, by repr.
+    for seq, outer, scalar in ((nested_acos_sequence, acos_outer, nested_acos),
+                               (nested_acosh_sequence, acosh_outer,
+                                nested_acosh)):
+        ys = seq(y, depth)
+        assert len(ys) == depth + 1
+        for prev, r in zip([y] + ys[:-2], ys[:-1]):
+            assert repr(r) == repr(half_angle_step(prev))
+        assert repr(ys[-1]) == repr((2.0 ** depth) * outer(ys[-2]))
+        assert repr(ys[-1]) == repr(scalar(y, depth))
+
+
 def test_inverse_forward_round_trip():
     for i in range(37):
         y = -0.9 + 0.05 * i

@@ -18,13 +18,16 @@ from nestrad import (
     nested_atan,
     nested_atanh,
     nested_cos,
+    nested_cosh,
     nested_exp,
     nested_log,
     nested_sin,
     nested_sinh,
     nested_tan,
     nested_tanh,
+    principal_sqrt,
 )
+from nestrad import core
 
 EPS = sys.float_info.epsilon
 ORDER4 = EvalConfig(10, 4)
@@ -146,6 +149,23 @@ def test_exp_known_values():
     assert nested_exp(0.0, DEFAULT_CONFIG) == 1.0
 
 
+@pytest.mark.parametrize("cfg", [EvalConfig(10, 2), EvalConfig(4, 4)])
+@pytest.mark.parametrize("x", [1.0, -2.0, 0.3 + 0.4j, -1.5 - 2j, 0.0, 10.0])
+def test_exp_is_cosh_plus_sinh_from_one_chain(x, cfg, monkeypatch):
+    assert repr(nested_exp(x, cfg)) == repr(
+        nested_cosh(x, cfg) + nested_sinh(x, cfg))
+    calls = []
+    forward = core._forward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_forward", counting)
+    nested_exp(x, cfg)
+    assert len(calls) == 1
+
+
 def test_log_exp_round_trip():
     cfg = EvalConfig(12, 4)
     for y in (0.5, 2.0, 10.0, 1000.0):
@@ -169,6 +189,19 @@ def test_log_limit_values():
     assert log_limit(1.0, 64) == 0.0
     assert abs(log_limit(2.0, 2 ** 20) - math.log(2.0)) <= 1e-6
     assert abs(log_limit(math.e, 2 ** 20) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 64, 2 ** 20, 2 ** 40])
+@pytest.mark.parametrize("y", [2.0, 0.5, math.e, 1e-300, 1e300, -4.0,
+                               3 + 4j, -1 - 1e-3j])
+def test_log_limit_is_the_explicit_root_chain(y, n):
+    # The n-th root as log2(n) principal square roots, written out.
+    r = y
+    k = n
+    while k > 1:
+        r = principal_sqrt(r)
+        k >>= 1
+    assert repr(log_limit(y, n)) == repr(n * (r - 1.0))
 
 
 def test_log_limit_validation():

@@ -1,5 +1,9 @@
 """The package's public surface: the names it exports and where they live."""
 
+import ast
+import pathlib
+import sys
+
 import nestrad
 from nestrad import branches, core, derived, expand, verify
 
@@ -36,3 +40,17 @@ def test_each_public_name_is_its_defining_modules_object():
     assert set(owners) == PUBLIC
     for name, module in owners.items():
         assert getattr(nestrad, name) is getattr(module, name), name
+
+
+def test_imports_only_the_standard_library():
+    # README: no dependencies outside the standard library.
+    src = pathlib.Path(nestrad.__file__).parent
+    modules = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.partition(".")[0])
+    assert {"argparse", "cmath", "math"} <= modules
+    assert modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
