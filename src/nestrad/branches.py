@@ -39,13 +39,17 @@ def _gray(k: int) -> int:
     return k ^ (k >> 1)
 
 
+def _index_error(k: object, limit: str, bound: str) -> ValueError:
+    # An index of the wrong type is out of range too; the message names it.
+    need = bound if _is_int(k) else f"an int {bound}, got {type(k).__name__}"
+    return ValueError(f"branch index {k!r} out of range for {limit}; need {need}")
+
+
 def _check_index(k: int, width: int) -> None:
     if not _is_int(width) or width < 1:
         raise ValueError(f"width must be a positive integer, got {width}")
     if not _is_int(k) or not 0 <= k < 2 ** (width - 1):
-        raise ValueError(
-            f"branch index {k!r} out of range for width {width}; "
-            f"need 0 <= k < {2 ** (width - 1)}")
+        raise _index_error(k, f"width {width}", f"0 <= k < {2 ** (width - 1)}")
 
 
 def gray_signs(k: int, width: int) -> tuple[int, ...]:
@@ -76,9 +80,7 @@ def _branch(y: Scalar, k: int, depth: int, allow_deep: bool,
         _check_index(k, depth)
         return _tower(y, depth, _gray(k), outer)
     if not _is_int(k) or -k >= 2 ** (depth - 1):
-        raise ValueError(
-            f"branch index {k!r} out of range for depth {depth}; "
-            f"need |k| < {2 ** (depth - 1)}")
+        raise _index_error(k, f"depth {depth}", f"|k| < {2 ** (depth - 1)}")
     return -_tower(y, depth, _gray(-k - 1), outer)
 
 

@@ -34,17 +34,20 @@ from .verify import (
 __all__ = ["main", "parse_scalar", "fmt_scalar"]
 
 _UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_REAL = re.compile(rf"[+-]?{_UNSIGNED}")
+_IMAG = re.compile(rf"([+-]?{_UNSIGNED}|[+-]?)i")
+_COMPLEX = re.compile(rf"([+-]?{_UNSIGNED})([+-](?:{_UNSIGNED})?)i")
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse 'a', 'ai', 'a+bi', 'a-bi' (decimal or scientific) to a scalar."""
     s = text.strip()
-    if re.fullmatch(rf"[+-]?{_UNSIGNED}", s):
+    if _REAL.fullmatch(s):
         return float(s)
-    m = re.fullmatch(rf"([+-]?{_UNSIGNED}|[+-]?)i", s)
+    m = _IMAG.fullmatch(s)
     if m:
         return complex(0.0, _imag_part(m.group(1)))
-    m = re.fullmatch(rf"([+-]?{_UNSIGNED})([+-](?:{_UNSIGNED})?)i", s)
+    m = _COMPLEX.fullmatch(s)
     if m:
         return complex(float(m.group(1)), _imag_part(m.group(2)))
     raise ValueError(

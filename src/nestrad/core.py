@@ -233,9 +233,21 @@ def _tower(y: Scalar, depth: int, gray: int,
     # The one radical tower behind every inverse entry.  Bit m of the Gray
     # code gray negates the iterate after radical m, innermost m = 0, and
     # gray = 0 is the principal sheet.
+    # Real input whose radicands can never go negative runs on math.sqrt,
+    # which returns the float principal_sqrt would: from [-1, 1] every
+    # radicand lies in [0, 1], and a finite y > 1 on the principal sheet
+    # stays above 1.  Real means the types principal_sqrt turns into
+    # floats, not whatever float() takes, so "0.5" still raises TypeError.
+    # Complex infinity stays on principal_sqrt, because halving it makes
+    # a NaN imaginary part.
+    sqrt = principal_sqrt
+    if isinstance(y, (int, float, complex)) and y.imag == 0.0:
+        x = y.real
+        if -1.0 <= x <= 1.0 or not gray and 1.0 < x < math.inf:
+            y, sqrt = float(x), math.sqrt
     # The half-angle step is inlined for scalar and single-branch inverses.
     for m in range(depth):
-        y = principal_sqrt((y + 1.0) / 2.0)
+        y = sqrt((y + 1.0) / 2.0)
         if gray >> m & 1:
             y = -y
     return (2.0 ** depth) * outer(y)

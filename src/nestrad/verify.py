@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .branches import (
     _gray,
@@ -87,8 +87,7 @@ def ref_acosh(z: Scalar) -> complex:
     return cmath.log(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """One evaluation compared against its oracle."""
 
     input: Scalar

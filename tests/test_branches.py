@@ -59,9 +59,11 @@ def test_sign_sequence_range_errors():
     with pytest.raises(ValueError, match="branch index 8 out of range"):
         gray_adjacent_distance(2 ** 3 - 1, 4)
     # Indices and widths are ints; bool and float are rejected like a
-    # value out of range.
-    for k in (2.5, True, 1.0):
-        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+    # value out of range, with the type named.
+    for k, kind in ((2.5, "float"), (True, "bool"), (1.0, "float"),
+                    ("3", "str"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=rf"branch index {k!r} out of range "
+                           rf"for width 4; need an int 0 <= k < 8, got {kind}$"):
             gray_signs(k, 4)
     for width in (4.0, True):
         with pytest.raises(ValueError, match="width must be a positive integer"):
@@ -103,17 +105,24 @@ def test_negative_branch_range_error():
         nested_acos_branch(0.0, -512, 10)
     with pytest.raises(ValueError):
         nested_acosh_branch(0.0, -512, 10)
-    for k in (True, 2.5, -2.5, -1.0):
-        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
-            nested_acos_branch(0.0, k, 10)
-        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
-            nested_acosh_branch(0.0, k, 10)
+    # A non-int index names its type; a negative one is checked against
+    # |k| < 512, a nonnegative one against 0 <= k < 512.
+    for k, kind in ((True, "bool"), (2.5, "float"), (-2.5, "float"),
+                    (-1.0, "float")):
+        for branch in (nested_acos_branch, nested_acosh_branch):
+            with pytest.raises(ValueError, match=f"branch index {k} out of range"
+                               f" .*; need an int .* < 512, got {kind}$"):
+                branch(0.0, k, 10)
     # An index that does not compare with 0 is rejected the same way, not
     # with a TypeError from the sign test.
-    for k in ("3", None, 1j):
+    for k, kind in (("3", "str"), (None, "NoneType"), (1j, "complex")):
         for branch in (nested_acos_branch, nested_acosh_branch):
-            with pytest.raises(ValueError, match="branch index .* out of range"):
+            with pytest.raises(ValueError, match="branch index .* out of range "
+                               rf"for width 10; need an int 0 <= k < 512, got {kind}$"):
                 branch(0.0, k, 10)
+    # An int index keeps the message without the type.
+    with pytest.raises(ValueError, match=r"; need \|k\| < 512$"):
+        nested_acos_branch(0.0, -600, 10)
 
 
 def test_branch_values_match_oracle_depth_15():

@@ -3,6 +3,8 @@
 import math
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -21,13 +23,20 @@ from nestrad import (
     nested_acos_branch,
     nested_acos_sequence,
     nested_acosh,
+    nested_acosh_branch,
     nested_acosh_sequence,
+    nested_asin,
+    nested_asinh,
+    nested_atan,
+    nested_atanh,
     nested_cos,
     nested_cos_sequence,
     nested_cosh,
     nested_cosh_sequence,
+    nested_log,
     principal_sqrt,
 )
+from nestrad import branches, core
 from nestrad.core import _tower, _towers
 
 EPS = sys.float_info.epsilon
@@ -444,3 +453,91 @@ def test_towers_mixed_uniform_and_varying_levels():
     for y in (0.0, 0.3, -1.0):
         want = [_tower(y, 14, g, acos_outer) for g in grays]
         assert repr(_towers(y, 14, grays)) == repr(want)
+
+
+def _literal_tower(y, depth, gray, outer):
+    # Reference: the tower with principal_sqrt on every radical, whatever
+    # the input.
+    for m in range(depth):
+        y = principal_sqrt((y + 1.0) / 2.0)
+        if gray >> m & 1:
+            y = -y
+    return (2.0 ** depth) * outer(y)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+_TOWER_INPUTS = [
+    0.0, -0.0, 0.3, -0.5, 1.0, -1.0, math.nextafter(1.0, 2.0),
+    math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+    math.nextafter(-1.0, -2.0), 2.0, -2.0, 1e300, -1e300, math.inf,
+    -math.inf, math.nan, 0, 1, -1, 3, -3, True, False, 10 ** 400, -10 ** 400,
+    Fraction(1, 3), Fraction(5, 2), complex(0.5, 0.0), complex(0.5, -0.0),
+    complex(-1.0, -0.0), complex(-0.0, 0.0), complex(2.0, 0.0),
+    complex(2.0, -0.0), complex(-2.0, -0.0), complex(math.inf, 0.0),
+    complex(math.inf, -0.0), complex(math.nan, 0.0), 0.3 - 0.1j, 2 + 3j,
+    "0.5", Decimal("0.5"), None,
+]
+
+
+def _tower_outcomes(depth):
+    gray_max = 2 ** depth - 1
+    k_min = -(2 ** (depth - 1))
+    out = []
+    for y in _TOWER_INPUTS:
+        for gray in (0, 1, 2, 5, gray_max):
+            for outer in (acos_outer, acosh_outer):
+                out.append(_outcome(_tower, y, depth, gray, outer))
+        # k = -1, -2, -4, -7 and k_min take Gray codes 0, 1, 2, 5 and the
+        # largest the depth allows.
+        for k in (-1, -2, -4, -7, k_min):
+            out.append(_outcome(nested_acos_branch, y, k, depth))
+            out.append(_outcome(nested_acosh_branch, y, k, depth))
+        for fn in (nested_acos, nested_acosh, nested_asin, nested_atan,
+                   nested_asinh, nested_atanh, nested_log):
+            out.append(_outcome(fn, y, depth))
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 2, 10, 25, 30])
+def test_tower_matches_literal_loop(depth, monkeypatch):
+    # Real input in [-1, 1], or finite above 1 on the principal sheet, runs
+    # on math.sqrt; every value and every error must stay what the literal
+    # principal_sqrt loop gives, by repr or by exception type and message.
+    got = _tower_outcomes(depth)
+    monkeypatch.setattr(core, "_tower", _literal_tower)
+    monkeypatch.setattr(branches, "_tower", _literal_tower)
+    assert got == _tower_outcomes(depth)
+
+
+def test_tower_rejects_non_numbers():
+    # float() would take "0.5" and Decimal("0.5"); the tower must not.
+    for y in ("0.5", Decimal("0.5"), None):
+        for fn in (nested_acos, nested_acosh):
+            with pytest.raises(TypeError):
+                fn(y, 10)
+        for fn in (nested_acos_branch, nested_acosh_branch):
+            with pytest.raises(TypeError):
+                fn(y, -3, 10)
+
+
+@pytest.mark.parametrize("y, gray, calls", [
+    (0.5, 0, 1), (-1.0, 2 ** 25 - 1, 1), (complex(0.3, 0.0), 5, 1),
+    (1e300, 0, 1), (1.5, 1, 26), (0.3 - 0.1j, 0, 26),
+])
+def test_real_tower_runs_on_math_sqrt(y, gray, calls, monkeypatch):
+    # Only the closing map goes through principal_sqrt on the real path.
+    seen = []
+
+    def counted(z):
+        seen.append(z)
+        return principal_sqrt(z)
+
+    monkeypatch.setattr(core, "principal_sqrt", counted)
+    _tower(y, 25, gray, acos_outer)
+    assert len(seen) == calls
