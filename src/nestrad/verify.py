@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .branches import (
     _gray,
@@ -87,7 +87,8 @@ def ref_acosh(z: Scalar) -> complex:
     return cmath.log(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0))
 
 
-class EvalReport(NamedTuple):
+@dataclass(frozen=True)
+class EvalReport:
     """One evaluation compared against its oracle."""
 
     input: Scalar

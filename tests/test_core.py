@@ -481,6 +481,7 @@ _TOWER_INPUTS = [
     complex(-1.0, -0.0), complex(-0.0, 0.0), complex(2.0, 0.0),
     complex(2.0, -0.0), complex(-2.0, -0.0), complex(math.inf, 0.0),
     complex(math.inf, -0.0), complex(math.nan, 0.0), 0.3 - 0.1j, 2 + 3j,
+    # Not numbers; they stay last.
     "0.5", Decimal("0.5"), None,
 ]
 
@@ -510,20 +511,14 @@ def test_tower_matches_literal_loop(depth, monkeypatch):
     # on math.sqrt; every value and every error must stay what the literal
     # principal_sqrt loop gives, by repr or by exception type and message.
     got = _tower_outcomes(depth)
+    # float() would take "0.5" and Decimal("0.5"); the tower must not.  A
+    # branch index too large for a small depth is reported first.
+    per_input = len(got) // len(_TOWER_INPUTS)
+    assert all(o.startswith(("TypeError: ", "ValueError: branch index"))
+               for o in got[-3 * per_input:])
     monkeypatch.setattr(core, "_tower", _literal_tower)
     monkeypatch.setattr(branches, "_tower", _literal_tower)
     assert got == _tower_outcomes(depth)
-
-
-def test_tower_rejects_non_numbers():
-    # float() would take "0.5" and Decimal("0.5"); the tower must not.
-    for y in ("0.5", Decimal("0.5"), None):
-        for fn in (nested_acos, nested_acosh):
-            with pytest.raises(TypeError):
-                fn(y, 10)
-        for fn in (nested_acos_branch, nested_acosh_branch):
-            with pytest.raises(TypeError):
-                fn(y, -3, 10)
 
 
 @pytest.mark.parametrize("y, gray, calls", [
