@@ -5,9 +5,12 @@ values as a+bi / a-bi with no spaces, zeros normalized to "0".  Exit
 codes: 0 success, 2 argument or validation error, 3 numeric error
 (overflow or pole).
 
-Each run builds the parser anew, and only the command it names gets its
-arguments; the other commands are registered with their help text alone,
-which is all that top-level help, usage and invalid-choice errors show.
+A call that starts with a command name is parsed by that command's
+parser alone: one ArgumentParser instead of the full tree's eight, which
+takes in-process main() from about 1.1-1.3 ms to 0.2-0.4 ms for eval,
+signs and a small sweep.  Top-level help, unknown or abbreviated commands
+and leftover arguments go through the full tree, so every message reads
+as it did.
 """
 
 from __future__ import annotations
@@ -241,36 +244,53 @@ def _args_signs(p: argparse.ArgumentParser) -> None:
                    help="print innermost radical first (default outermost)")
 
 
-_COMMANDS = (
-    ("eval", "evaluate one function against its oracle", _args_eval, _cmd_eval),
-    ("converge", "error table over a depth range", _args_converge, _cmd_converge),
-    ("sweep", "branch sweep of the inverse cosine of 0", _args_sweep, _cmd_sweep),
-    ("table1", "branches of the inverse cosine of 0", _add_depth, _cmd_table1),
-    ("table2", "branches at +-1 divided by pi", _add_depth, _cmd_table2),
-    ("expand", "exact rational Maclaurin coefficients", _args_expand, _cmd_expand),
-    ("signs", "Gray-code sign pattern of a branch", _args_signs, _cmd_signs),
-)
+_COMMANDS = {
+    "eval": ("evaluate one function against its oracle", _args_eval, _cmd_eval),
+    "converge": ("error table over a depth range", _args_converge, _cmd_converge),
+    "sweep": ("branch sweep of the inverse cosine of 0", _args_sweep, _cmd_sweep),
+    "table1": ("branches of the inverse cosine of 0", _add_depth, _cmd_table1),
+    "table2": ("branches at +-1 divided by pi", _add_depth, _cmd_table2),
+    "expand": ("exact rational Maclaurin coefficients", _args_expand, _cmd_expand),
+    "signs": ("Gray-code sign pattern of a branch", _args_signs, _cmd_signs),
+}
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The nestrad parser; given argv, only commands named in it get arguments."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full nestrad parser: the root and every command's subparser."""
     parser = _Parser(
         prog="nestrad",
         description="Nested square-root and doubled-angle evaluation of "
                     "elementary functions, with oracle comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_args, handler in _COMMANDS:
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if argv is None or name in argv:
-            add_args(p)
+        add_args(p)
         p.set_defaults(handler=handler)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # A call that names a command first is parsed by that command's parser
+    # alone.  It is the parser the full tree builds for the command (same
+    # class, prog and arguments), so its help and errors print the same.
+    # Anything else, leftover arguments included, goes through the full
+    # tree, which prints the root usage and exits.
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, add_args, handler = _COMMANDS[name]
+        parser = _Parser(prog=f"nestrad {name}")
+        add_args(parser)
+        parser.set_defaults(command=name, handler=handler)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         args.handler(args)
     except ValueError as exc:

@@ -120,13 +120,32 @@ class ConvergenceRow:
     error_ratio: float
 
 
+def _acos_principal(z: Scalar) -> complex:
+    # ref_acos on its own sheet, but real input off [-1, 1] goes through
+    # math.acosh: the log formula cancels below -1, raises from about -1e8
+    # down and overflows from about 1.3e154 up.
+    x = _real(z)
+    if _is_real(z) and abs(x) > 1.0:
+        t = math.acosh(abs(x))
+        return complex(0.0, t) if x > 0.0 else complex(math.pi, -t)
+    return ref_acos(z)
+
+
+def _acosh_principal(z: Scalar) -> complex:
+    # ref_acosh likewise: acosh(x) from 1 up, acosh(-x) + i*pi from -1 down.
+    x = _real(z)
+    if _is_real(z) and abs(x) >= 1.0:
+        return complex(math.acosh(abs(x)), math.pi if x < 0.0 else 0.0)
+    return ref_acosh(z)
+
+
 def _acos_oracle(z: Scalar, branch: int = 0) -> complex:
     x = _real(z)
     if _is_real(z) and -1.0 <= x <= 1.0:
         # Real arguments in range have exactly real branch values; the
         # closed form keeps the oracle free of log-formula roundoff.
         return complex(_reflect(math.acos(x), branch), 0.0)
-    return _reflect(ref_acos(z), branch)
+    return _reflect(_acos_principal(z), branch)
 
 
 def _acosh_oracle(z: Scalar, branch: int = 0) -> complex:
@@ -136,14 +155,14 @@ def _acosh_oracle(z: Scalar, branch: int = 0) -> complex:
         # every hyperbolic branch is exactly 1j times the circular one.
         return complex(0.0, _reflect(math.acos(x), branch))
     if branch == 0:
-        return ref_acosh(z)
+        return _acosh_principal(z)
     if branch == -1:
-        return -ref_acosh(z)
+        return -_acosh_principal(z)
     # Off [-1, 1] branch k is +-1j times branch k of acos, a.  The closing
     # radical picks the sign: y_depth - 1 is about -a**2 / 2**(2*depth + 1),
     # and its principal root, negated with a for k < 0, is +1j*a exactly
     # when a**2 lies below the real axis.
-    a = _reflect(ref_acos(z), branch)
+    a = _reflect(_acos_principal(z), branch)
     return 1j * a if (a * a).imag < 0 else -1j * a
 
 

@@ -116,6 +116,13 @@ def test_eval_negative_complex_argument():
     )
 
 
+def test_eval_acos_far_below_minus_one():
+    # The log-formula oracle raised "math domain error" here (exit 2).
+    code, out, err = run_cli(["eval", "acos", "-1e10"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "oracle 3.14159265358979-23.7189981105004i"
+
+
 def test_eval_branch_output():
     code, out, _ = run_cli(["eval", "acos", "0", "--branch", "3"])
     assert code == 0

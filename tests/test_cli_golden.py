@@ -7,6 +7,7 @@ recording only when a change to the output is intended:
 PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -17,6 +18,7 @@ from unittest import mock
 
 import pytest
 
+from nestrad import cli
 from nestrad.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
@@ -61,6 +63,16 @@ ARGVS = [
     ["eval", "cos", "1", "--bogus"],
     ["eval", "nosuch", "1"],
     ["converge", "nosuch", "1", "--depths", "4"],
+    # Dispatch boundary: a leftover argument and option, a command
+    # abbreviation, "--" before and inside a command, a missing option
+    # value and help after arguments.
+    ["eval", "cos", "1", "2"],
+    ["sweep", "--kmax", "3", "--depth", "12", "--allow-deep"],
+    ["ev", "cos", "1"],
+    ["--", "eval", "cos", "1"],
+    ["signs", "--branch", "1", "--width"],
+    ["eval", "cos", "--", "-1"],
+    ["converge", "cos", "1", "--depths", "3..4", "-h"],
 ]
 
 
@@ -82,9 +94,17 @@ def test_cli_transcript_is_byte_identical(argv):
     assert transcript(argv) == recorded[tuple(argv)]
 
 
-def test_parser_for_argv_parses_like_the_full_parser():
-    # build_parser(argv) gives arguments only to the commands named in argv;
-    # on every recorded argv that parses, the namespace must not change.
+def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
+    # main parses a call that names a command with that command's parser
+    # alone; on every recorded argv that the full tree accepts, the
+    # namespace must not change, and main must build exactly one parser.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
     parsed = 0
     for argv in ARGVS:
         try:
@@ -93,9 +113,14 @@ def test_parser_for_argv_parses_like_the_full_parser():
                 want = vars(build_parser().parse_args(argv))
         except SystemExit:
             continue
-        assert vars(build_parser(argv).parse_args(argv)) == want, argv
+        assert vars(cli._parse(argv)) == want, argv
+        with monkeypatch.context() as m:
+            m.setattr(argparse.ArgumentParser, "__init__", counting_init)
+            built.clear()
+            transcript(argv)
+        assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 23
+    assert parsed == 24
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

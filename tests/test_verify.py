@@ -54,6 +54,36 @@ def test_ref_acosh_matches_library():
         assert abs(ref_acosh(z) - cmath.acosh(z)) <= 1e-14
 
 
+def test_inverse_cosine_oracles_match_mpmath_on_the_real_line():
+    # The log formulas cancel below -1 (5e-7 relative at -1e6), raise from
+    # about -1e8 down and overflow from about 1.3e154 up; the oracles must
+    # stay within two ulps at every magnitude, on every branch.
+    mpmath = pytest.importorskip("mpmath")
+
+    def branch(a, k):
+        if k < 0:
+            return -branch(a, -k - 1)
+        return k * mpmath.pi + a if k % 2 == 0 else (k + 1) * mpmath.pi - a
+
+    def rel(got, want):
+        return abs(mpmath.mpc(got) - want) / max(abs(want), 1)
+
+    with mpmath.workdps(40):
+        for e in range(309):
+            for x in (10.0 ** e, -10.0 ** e):
+                a, h = mpmath.acos(x), mpmath.acosh(x)
+                assert rel(FUNCTIONS["acosh"].oracle(x, 0), h) <= 2 ** -51, x
+                assert rel(FUNCTIONS["acosh"].oracle(x, -1), -h) <= 2 ** -51, x
+                for k in (0, 1, 2, -1, -2, 7):
+                    b = branch(a, k)
+                    assert rel(FUNCTIONS["acos"].oracle(x, k), b) <= 2 ** -51, (x, k)
+                    if k not in (0, -1):
+                        # Off branches 0 and -1, acosh is +-1j times acos.
+                        got = FUNCTIONS["acosh"].oracle(x, k)
+                        err = min(rel(got, 1j * b), rel(got, -1j * b))
+                        assert err <= 2 ** -51, (x, k)
+
+
 def test_oracle_inverts_cosine():
     for i in range(31):
         x = 0.05 + (math.pi - 0.1) * i / 30
