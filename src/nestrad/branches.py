@@ -6,7 +6,7 @@ Consecutive branch indices k differ in exactly one sign when the signs
 are read off the binary reflected Gray code of k.  A k-sweep does not
 reuse one tower per flip, since the low Gray bits that flip most often
 are the innermost radicals; instead branches that agree in their low
-Gray bits share those inner radicals, and core._towers computes them
+Gray bits share those inner radicals, and core._gray_tree computes them
 once for a whole batch of branches.
 """
 

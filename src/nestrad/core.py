@@ -259,34 +259,85 @@ def _towers(y: float, depth: int, grays: Sequence[int]) -> list[float]:
     # Precondition, kept by every caller: the arguments are validated and
     # y is a real float in [-1, 1].  Then every radicand is a float in
     # [0, 1], or [0, 4] for the closing map, where principal_sqrt is
-    # exactly math.sqrt.  Lanes that agree in their low m Gray bits share
-    # their first m radicals, so those levels are built once, as a full
-    # binary tree indexed by the low bits; the rest run lane by lane.
+    # exactly math.sqrt.
+    return _climb(_gray_tree(y, min(depth, (len(grays) - 1).bit_length())),
+                  grays, depth)
+
+
+def _gray_tree(y: float, height: int) -> list[float]:
+    # The first height radicals of y under every sign pattern of their
+    # Gray bits, as a full binary tree: a lane with Gray code g starts at
+    # leaf g & (2**height - 1).  Lanes that agree in their low Gray bits
+    # share those inner radicals, so each is taken once.
     sqrt = math.sqrt
-    m = min(depth, (len(grays) - 1).bit_length())
     level = [y]
-    for _ in range(m):
+    for _ in range(height):
         roots = [sqrt((v + 1.0) / 2.0) for v in level]
         level = roots + [-r for r in roots]
-    low = len(level) - 1
-    lanes = [level[g & low] for g in grays]
-    # A level whose Gray bit is clear, or set, in every lane needs no
-    # per-lane test.  The Gray codes of an aligned run of 2**m indices
-    # differ only in their low m bits, so above the tree every level of
-    # an aligned sweep chunk takes one of these two paths.
+    return level
+
+
+def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
+    # Every lane from its leaf of tree up the remaining levels of the
+    # tower, then the closing map.  A level whose Gray bit is clear, or
+    # set, in every lane needs no per-lane test, and a run of up to four
+    # such levels with the same bit takes one list pass.  The Gray codes of
+    # an aligned run of 2**h indices differ only in their low h bits, so
+    # above the tree every level of an aligned sweep chunk is uniform.
+    sqrt = math.sqrt
+    low = len(tree) - 1
+    lanes = [tree[g & low] for g in grays]
     any_set = reduce(or_, grays, 0)
     all_set = reduce(and_, grays, any_set)
-    for i in range(m, depth):
+    i = low.bit_length()
+    while i < depth:
         bit = 1 << i
-        if not any_set & bit:
-            lanes = [sqrt((v + 1.0) / 2.0) for v in lanes]
-        elif all_set & bit:
-            lanes = [-sqrt((v + 1.0) / 2.0) for v in lanes]
-        else:
+        if any_set & bit and not all_set & bit:
             lanes = [-sqrt((v + 1.0) / 2.0) if g & bit else sqrt((v + 1.0) / 2.0)
                      for v, g in zip(lanes, grays)]
+            i += 1
+        else:
+            same = all_set if all_set & bit else ~any_set
+            run = 1
+            while run < 4 and i + run < depth and same >> (i + run) & 1:
+                run += 1
+            lanes = (_fall if all_set & bit else _rise)(lanes, run)
+            i += run
     scale = 2.0 ** depth
     return [scale * sqrt(2.0 * (1.0 - v)) for v in lanes]
+
+
+def _rise(vs: list[float], run: int) -> list[float]:
+    # run levels, 1 to 4, whose Gray bit is clear in every lane, in one
+    # list pass.  Each level is _tower's sqrt((v + 1.0) / 2.0), in the same
+    # order, so every lane stays bitwise equal to it.
+    sqrt = math.sqrt
+    if run == 1:
+        return [sqrt((v + 1.0) / 2.0) for v in vs]
+    if run == 2:
+        return [sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) for v in vs]
+    if run == 3:
+        return [sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0) / 2.0)
+                for v in vs]
+    return [sqrt((sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0)
+                    / 2.0) + 1.0) / 2.0)
+            for v in vs]
+
+
+def _fall(vs: list[float], run: int) -> list[float]:
+    # As _rise, for levels whose Gray bit is set in every lane: each
+    # radical is negated, as _tower negates it.
+    sqrt = math.sqrt
+    if run == 1:
+        return [-sqrt((v + 1.0) / 2.0) for v in vs]
+    if run == 2:
+        return [-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) for v in vs]
+    if run == 3:
+        return [-sqrt((-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0) / 2.0)
+                for v in vs]
+    return [-sqrt((-sqrt((-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0)
+                      / 2.0) + 1.0) / 2.0)
+            for v in vs]
 
 
 def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:

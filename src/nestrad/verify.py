@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 from .branches import (
@@ -25,6 +26,8 @@ from .core import (
     EvalConfig,
     Scalar,
     _check_seed_order,
+    _climb,
+    _gray_tree,
     _is_int,
     _is_real,
     _real,
@@ -121,11 +124,15 @@ class ConvergenceRow:
 
 
 def _acos_principal(z: Scalar) -> complex:
-    # ref_acos on its own sheet, but real input off [-1, 1] goes through
-    # math.acosh: the log formula cancels below -1, raises from about -1e8
-    # down and overflows from about 1.3e154 up.
+    # ref_acos on its own sheet, but not through its log formula, which
+    # cancels for large |z| (5e-7 relative off at -1e6 and at 1e6+1j),
+    # raises from about |z| = 1e8 and overflows or returns nan from about
+    # 1.3e154 up.  Off the real axis cmath.acos is on that sheet; real
+    # input off [-1, 1] goes through math.acosh.
+    if not _is_real(z):
+        return cmath.acos(z)
     x = _real(z)
-    if _is_real(z) and abs(x) > 1.0:
+    if abs(x) > 1.0:
         t = math.acosh(abs(x))
         return complex(0.0, t) if x > 0.0 else complex(math.pi, -t)
     return ref_acos(z)
@@ -286,6 +293,20 @@ def sweep_branches(k_max: int, step: int = 1,
     Rows come out in ascending k, from 0 to k_max inclusive by step.
     Arguments are checked here, before the first row is produced.
     """
+    return chain.from_iterable(
+        zip(*cols) for cols in _sweep_chunks(k_max, step, depth))
+
+
+#: Branches per chunk of a sweep, and leaves of its Gray tree at most:
+#: enough lanes to share the inner radicals and amortize the list work,
+#: few enough that memory stays bounded for any k_max.
+_SWEEP_CHUNK = 4096
+
+
+def _sweep_chunks(k_max: int, step: int, depth: int
+                  ) -> Iterator[tuple[range, list[float], list[float]]]:
+    # The rows of sweep_branches as columns (ks, extracted, abs_dev), one
+    # chunk at a time.  The arguments are checked at the call.
     check_depth(depth)
     if not _is_int(step) or step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
@@ -293,26 +314,22 @@ def sweep_branches(k_max: int, step: int = 1,
         raise ValueError(
             f"k_max must satisfy 0 < k_max < 2**(depth-1), got {k_max} "
             f"at depth {depth}")
-    return _sweep_rows(k_max, step, depth)
+    return _sweep_columns(range(0, k_max + 1, step), depth)
 
 
-#: Branches per _towers call in a sweep: enough lanes to share the inner
-#: radicals and amortize the list work, few enough that memory stays
-#: bounded for any k_max.
-_SWEEP_CHUNK = 4096
-
-
-def _sweep_rows(k_max: int, step: int,
-                depth: int) -> Iterator[tuple[int, float, float]]:
-    # extract_branch written out per chunk: on a float it is v / pi - 0.5.
+def _sweep_columns(ks: range, depth: int
+                   ) -> Iterator[tuple[range, list[float], list[float]]]:
+    # One Gray tree serves every chunk, and each chunk climbs from its
+    # leaves.  The tree is as tall as one chunk's lanes need and no
+    # taller; k_max < 2**(depth-1) keeps it below the tower's top.
+    # extract_branch is written out: on a float it is v / pi - 0.5.
     pi = math.pi
-    ks = range(0, k_max + 1, step)
+    tree = _gray_tree(0.0, (min(len(ks), _SWEEP_CHUNK) - 1).bit_length())
     for lo in range(0, len(ks), _SWEEP_CHUNK):
         chunk = ks[lo:lo + _SWEEP_CHUNK]
         extracted = [v / pi - 0.5
-                     for v in _towers(0.0, depth, [_gray(k) for k in chunk])]
-        yield from zip(chunk, extracted,
-                       [abs(e - k) for e, k in zip(extracted, chunk)])
+                     for v in _climb(tree, [_gray(k) for k in chunk], depth)]
+        yield chunk, extracted, [abs(e - k) for e, k in zip(extracted, chunk)]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nestrad import sweep_branches
+from nestrad import extract_branch, nested_acos_branch, sweep_branches
 from nestrad.cli import fmt_real, fmt_scalar, main, parse_scalar
 
 
@@ -111,8 +111,8 @@ def test_eval_negative_complex_argument():
     assert out == (
         "value 2.14144972510396-1.98338625571006i\n"
         "oracle 2.141449111116-1.98338702991654i\n"
-        "abs_error 9.88117849571732e-07\n"
-        "rel_error 3.38530979733594e-07\n"
+        "abs_error 9.88117849121812e-07\n"
+        "rel_error 3.3853097957945e-07\n"
     )
 
 
@@ -121,6 +121,15 @@ def test_eval_acos_far_below_minus_one():
     code, out, err = run_cli(["eval", "acos", "-1e10"])
     assert (code, err) == (0, "")
     assert out.splitlines()[1] == "oracle 3.14159265358979-23.7189981105004i"
+
+
+def test_eval_acos_far_off_the_real_line():
+    # The log-formula oracle raised "math domain error" here (exit 2).
+    for argv in (["eval", "acos", "1e10+1i"],
+                 ["eval", "acosh", "1e10+1i", "--branch", "1"]):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("value "), argv
 
 
 def test_eval_branch_output():
@@ -181,16 +190,35 @@ def test_sweep_csv():
     )
 
 
-@pytest.mark.parametrize("kmax, step, depth",
-                         [(1, 1, 2), (40, 1, 12), (9000, 3, 20), (13000, 3, 20)])
+@pytest.mark.parametrize("kmax, step, depth", [
+    (1, 1, 2), (40, 1, 12),
+    # Steps 3 and 7: a chunk spans more than 4096 indices, so Gray bits
+    # above the tree differ between its lanes.
+    (9000, 3, 20), (13000, 3, 20), (20000, 7, 17),
+    # One full chunk climbing 13 levels: three fused runs of four and a
+    # single level.  Then one and two full chunks, each and a lone branch.
+    (4095, 1, 25), (4096, 1, 14), (8192, 1, 15),
+    # Four chunks whose Gray bits 12 and 13 differ from chunk to chunk.
+    (16383, 1, 22), (16383, 1, 30),
+    # The shallowest sweeps over their trees: k_max < 2**(depth-1) keeps
+    # the depth at least one level above the tree.
+    (2047, 1, 12), (4095, 1, 13),
+])
 def test_sweep_text_is_fmt_real_of_the_rows(kmax, step, depth):
-    # The CLI formats sweep rows with "%.15g" in place of fmt_real.
+    # The sweep shares one Gray tree between its chunks and climbs each
+    # chunk from its leaves; every row must be the per-branch tower's.  The
+    # CLI formats the rows with "%.15g" in place of fmt_real.
     code, out, err = run_cli(["sweep", "--kmax", str(kmax), "--step", str(step),
                               "--depth", str(depth)])
     assert (code, err) == (0, "")
+    rows = list(sweep_branches(kmax, step, depth))
+    want = []
+    for k in range(0, kmax + 1, step):
+        extracted = extract_branch(nested_acos_branch(0.0, k, depth))
+        want.append((k, extracted, abs(extracted - k)))
+    assert repr(rows) == repr(want)
     assert out == "k,extracted,abs_dev\n" + "".join(
-        f"{k},{fmt_real(e)},{fmt_real(d)}\n"
-        for k, e, d in sweep_branches(kmax, step, depth))
+        f"{k},{fmt_real(e)},{fmt_real(d)}\n" for k, e, d in rows)
 
 
 def test_table1_layout():

@@ -455,6 +455,18 @@ def test_towers_mixed_uniform_and_varying_levels():
         assert repr(_towers(y, 14, grays)) == repr(want)
 
 
+@pytest.mark.parametrize("y", [0.0, 0.3, -1.0])
+def test_towers_fused_runs_of_set_bits(y):
+    # 512 lanes build a nine-level tree and rise through bits 9..11.  Above
+    # them every lane has bits 12..15, 17..19, 21..22 and 24 set and the
+    # rest clear: set runs of four, three, two and one level, each taken in
+    # one fused pass, between single clear levels.
+    high = sum(1 << b for b in (12, 13, 14, 15, 17, 18, 19, 21, 22, 24))
+    grays = [(k ^ (k >> 1)) | high for k in range(512)]
+    want = [_tower(y, 25, g, acos_outer) for g in grays]
+    assert repr(_towers(y, 25, grays)) == repr(want)
+
+
 def _literal_tower(y, depth, gray, outer):
     # Reference: the tower with principal_sqrt on every radical, whatever
     # the input.

@@ -84,6 +84,32 @@ def test_inverse_cosine_oracles_match_mpmath_on_the_real_line():
                         assert err <= 2 ** -51, (x, k)
 
 
+@pytest.mark.parametrize("z", [1e3 + 1j, 1e6 + 1j, -1e6 + 1j, 1e10 + 1j,
+                               1e200 + 1j])
+def test_inverse_cosine_oracles_match_mpmath_off_the_real_line(z):
+    # ref_acos's log formula is 5e-7 relative off at +-1e6+1j, raises at
+    # 1e10+1j and returns nan at 1e200+1j; the oracles must stay within
+    # two ulps on every branch, acosh's off-principal ones included.
+    mpmath = pytest.importorskip("mpmath")
+
+    def branch(a, k):
+        if k < 0:
+            return -branch(a, -k - 1)
+        return k * mpmath.pi + a if k % 2 == 0 else (k + 1) * mpmath.pi - a
+
+    def rel(got, want):
+        return abs(mpmath.mpc(got) - want) / max(abs(want), 1)
+
+    with mpmath.workdps(40):
+        a = mpmath.acos(z)
+        for k in (0, 1, 2, -1, -2, 7):
+            b = branch(a, k)
+            assert rel(FUNCTIONS["acos"].oracle(z, k), b) <= 2 ** -51, k
+            if k not in (0, -1):
+                got = FUNCTIONS["acosh"].oracle(z, k)
+                assert min(rel(got, 1j * b), rel(got, -1j * b)) <= 2 ** -51, k
+
+
 def test_oracle_inverts_cosine():
     for i in range(31):
         x = 0.05 + (math.pi - 0.1) * i / 30
