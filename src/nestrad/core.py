@@ -279,65 +279,42 @@ def _gray_tree(y: float, height: int) -> list[float]:
 
 def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
     # Every lane from its leaf of tree up the remaining levels of the
-    # tower, then the closing map.  A level whose Gray bit is clear, or
-    # set, in every lane needs no per-lane test, and a run of up to four
-    # such levels with the same bit takes one list pass.  The Gray codes of
-    # an aligned run of 2**h indices differ only in their low h bits, so
-    # above the tree every level of an aligned sweep chunk is uniform.
+    # tower, then the closing map.  Four levels whose Gray bit is clear in
+    # every lane take one fused pass, as do four whose bit is set in every
+    # lane; any other level takes a pass of its own, testing each lane only
+    # where its bit differs between lanes.  Every radical is _tower's
+    # expression in _tower's order, so each lane is bitwise equal to it.
+    # Above the tree every level of an aligned sweep chunk is uniform: the
+    # Gray codes of 2**h aligned indices differ only in their low h bits.
     sqrt = math.sqrt
     low = len(tree) - 1
     lanes = [tree[g & low] for g in grays]
     any_set = reduce(or_, grays, 0)
     all_set = reduce(and_, grays, any_set)
+    all_clear = ~any_set & ((1 << depth) - 1)
     i = low.bit_length()
     while i < depth:
-        bit = 1 << i
-        if any_set & bit and not all_set & bit:
-            lanes = [-sqrt((v + 1.0) / 2.0) if g & bit else sqrt((v + 1.0) / 2.0)
-                     for v, g in zip(lanes, grays)]
-            i += 1
+        quad = 15 << i
+        if all_clear & quad == quad:
+            lanes = [sqrt((sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0)
+                                + 1.0) / 2.0) + 1.0) / 2.0) for v in lanes]
+            i += 4
+        elif all_set & quad == quad:
+            lanes = [-sqrt((-sqrt((-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0)
+                                  + 1.0) / 2.0) + 1.0) / 2.0) for v in lanes]
+            i += 4
         else:
-            same = all_set if all_set & bit else ~any_set
-            run = 1
-            while run < 4 and i + run < depth and same >> (i + run) & 1:
-                run += 1
-            lanes = (_fall if all_set & bit else _rise)(lanes, run)
-            i += run
+            bit = 1 << i
+            if all_clear & bit:
+                lanes = [sqrt((v + 1.0) / 2.0) for v in lanes]
+            elif all_set & bit:
+                lanes = [-sqrt((v + 1.0) / 2.0) for v in lanes]
+            else:
+                lanes = [-sqrt((v + 1.0) / 2.0) if g & bit
+                         else sqrt((v + 1.0) / 2.0) for v, g in zip(lanes, grays)]
+            i += 1
     scale = 2.0 ** depth
     return [scale * sqrt(2.0 * (1.0 - v)) for v in lanes]
-
-
-def _rise(vs: list[float], run: int) -> list[float]:
-    # run levels, 1 to 4, whose Gray bit is clear in every lane, in one
-    # list pass.  Each level is _tower's sqrt((v + 1.0) / 2.0), in the same
-    # order, so every lane stays bitwise equal to it.
-    sqrt = math.sqrt
-    if run == 1:
-        return [sqrt((v + 1.0) / 2.0) for v in vs]
-    if run == 2:
-        return [sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) for v in vs]
-    if run == 3:
-        return [sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0) / 2.0)
-                for v in vs]
-    return [sqrt((sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0)
-                    / 2.0) + 1.0) / 2.0)
-            for v in vs]
-
-
-def _fall(vs: list[float], run: int) -> list[float]:
-    # As _rise, for levels whose Gray bit is set in every lane: each
-    # radical is negated, as _tower negates it.
-    sqrt = math.sqrt
-    if run == 1:
-        return [-sqrt((v + 1.0) / 2.0) for v in vs]
-    if run == 2:
-        return [-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) for v in vs]
-    if run == 3:
-        return [-sqrt((-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0) / 2.0)
-                for v in vs]
-    return [-sqrt((-sqrt((-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0) + 1.0)
-                      / 2.0) + 1.0) / 2.0)
-            for v in vs]
 
 
 def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:

@@ -10,6 +10,8 @@ import pytest
 from nestrad import extract_branch, nested_acos_branch, sweep_branches
 from nestrad.cli import fmt_real, fmt_scalar, main, parse_scalar
 
+from bitwise import assert_bitwise_equal
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -216,9 +218,9 @@ def test_sweep_text_is_fmt_real_of_the_rows(kmax, step, depth):
     for k in range(0, kmax + 1, step):
         extracted = extract_branch(nested_acos_branch(0.0, k, depth))
         want.append((k, extracted, abs(extracted - k)))
-    assert repr(rows) == repr(want)
-    assert out == "k,extracted,abs_dev\n" + "".join(
-        f"{k},{fmt_real(e)},{fmt_real(d)}\n" for k, e, d in rows)
+    assert_bitwise_equal(rows, want)
+    assert_bitwise_equal(out.splitlines(keepends=True), ["k,extracted,abs_dev\n"]
+                         + [f"{k},{fmt_real(e)},{fmt_real(d)}\n" for k, e, d in rows])
 
 
 def test_table1_layout():

@@ -39,6 +39,8 @@ from nestrad import (
 from nestrad import branches, core
 from nestrad.core import _tower, _towers
 
+from bitwise import assert_bitwise_equal
+
 EPS = sys.float_info.epsilon
 
 
@@ -432,7 +434,7 @@ def test_towers_match_single_tower_bitwise(y, depth):
     lane_sets.append(rng.sample(range(2 ** depth), min(300, 2 ** depth)))
     for grays in lane_sets:
         want = [_tower(y, depth, g, acos_outer) for g in grays]
-        assert repr(_towers(y, depth, grays)) == repr(want)
+        assert_bitwise_equal(_towers(y, depth, grays), want)
 
 
 @pytest.mark.parametrize("depth", [14, 22, 25])
@@ -442,7 +444,7 @@ def test_towers_uniform_levels_match_single_tower(c, depth):
     # the 12 tree levels every Gray bit is uniform across the lanes.
     grays = [k ^ (k >> 1) for k in range(4096 * c, 4096 * (c + 1))]
     want = [_tower(0.0, depth, g, acos_outer) for g in grays]
-    assert repr(_towers(0.0, depth, grays)) == repr(want)
+    assert_bitwise_equal(_towers(0.0, depth, grays), want)
 
 
 def test_towers_mixed_uniform_and_varying_levels():
@@ -452,19 +454,20 @@ def test_towers_mixed_uniform_and_varying_levels():
     grays = [0b1010_1001_0000, 0b0010_0001_0011, 0b1010_0001_0000]
     for y in (0.0, 0.3, -1.0):
         want = [_tower(y, 14, g, acos_outer) for g in grays]
-        assert repr(_towers(y, 14, grays)) == repr(want)
+        assert_bitwise_equal(_towers(y, 14, grays), want)
 
 
 @pytest.mark.parametrize("y", [0.0, 0.3, -1.0])
 def test_towers_fused_runs_of_set_bits(y):
     # 512 lanes build a nine-level tree and rise through bits 9..11.  Above
     # them every lane has bits 12..15, 17..19, 21..22 and 24 set and the
-    # rest clear: set runs of four, three, two and one level, each taken in
-    # one fused pass, between single clear levels.
+    # rest clear: bits 12..15 take the fused four-level set pass, and the
+    # set runs of three, two and one level take single set passes, between
+    # single clear levels.
     high = sum(1 << b for b in (12, 13, 14, 15, 17, 18, 19, 21, 22, 24))
     grays = [(k ^ (k >> 1)) | high for k in range(512)]
     want = [_tower(y, 25, g, acos_outer) for g in grays]
-    assert repr(_towers(y, 25, grays)) == repr(want)
+    assert_bitwise_equal(_towers(y, 25, grays), want)
 
 
 def _literal_tower(y, depth, gray, outer):

@@ -25,6 +25,8 @@ from nestrad import (
     sweep_branches,
 )
 
+from bitwise import assert_bitwise_equal
+
 
 def test_ref_acos_principal_values():
     assert abs(ref_acos(1.0)) <= 1e-15
@@ -261,7 +263,7 @@ def test_sweep_matches_per_branch_towers(k_max, step, depth):
     for k in range(0, k_max + 1, step):
         extracted = extract_branch(nested_acos_branch(0.0, k, depth))
         want.append((k, extracted, abs(extracted - k)))
-    assert repr(list(sweep_branches(k_max, step, depth))) == repr(want)
+    assert_bitwise_equal(list(sweep_branches(k_max, step, depth)), want)
 
 
 def test_sweep_memory_stays_bounded():
@@ -279,10 +281,11 @@ def test_sweep_memory_stays_bounded():
 @pytest.mark.parametrize("depth", [10, 25, 30])
 def test_tables_match_per_branch_towers(depth):
     t1 = reproduce_table1(depth)
-    assert repr([r.value for r in t1]) == repr(
-        [nested_acos_branch(0.0, k, depth) for k in range(8)])
+    assert_bitwise_equal([r.value for r in t1],
+                         [nested_acos_branch(0.0, k, depth) for k in range(8)])
     t2 = reproduce_table2(depth)
-    assert repr([(r.at_plus_one, r.at_minus_one) for r in t2]) == repr(
+    assert_bitwise_equal(
+        [(r.at_plus_one, r.at_minus_one) for r in t2],
         [(nested_acos_branch(1.0, k, depth) / math.pi,
           nested_acos_branch(-1.0, k, depth) / math.pi) for k in range(11)])
 
