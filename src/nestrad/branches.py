@@ -6,7 +6,7 @@ Consecutive branch indices k differ in exactly one sign when the signs
 are read off the binary reflected Gray code of k.  A k-sweep does not
 reuse one tower per flip, since the low Gray bits that flip most often
 are the innermost radicals; instead branches that agree in their low
-Gray bits share those inner radicals, and core._gray_tree computes them
+Gray bits share those inner radicals, and core._towers computes them
 once for a whole batch of branches.
 """
 
@@ -17,6 +17,7 @@ from typing import Callable
 
 from .core import (
     Scalar,
+    _gray,
     _is_int,
     _real,
     _tower,
@@ -33,10 +34,6 @@ __all__ = [
     "extract_branch",
     "branch_oracle_acos",
 ]
-
-
-def _gray(k: int) -> int:
-    return k ^ (k >> 1)
 
 
 def _index_error(k: object, limit: str, bound: str) -> ValueError:

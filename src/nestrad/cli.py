@@ -6,16 +6,16 @@ codes: 0 success, 2 argument or validation error, 3 numeric error
 (overflow or pole).
 
 A call that starts with a command name is parsed by that command's
-parser alone: one ArgumentParser instead of the full tree's eight, which
-takes in-process main() from about 1.1-1.3 ms to 0.2-0.4 ms for eval,
-signs and a small sweep.  Top-level help, unknown or abbreviated commands
-and leftover arguments go through the full tree, so every message reads
-as it did.
+parser alone: one ArgumentParser instead of the full tree's eight,
+because building parsers, not evaluating, is most of a short call.
+Top-level help, unknown or abbreviated commands and leftover arguments
+go through the full tree, so every message reads as it did.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -42,22 +42,32 @@ _COMPLEX = re.compile(rf"([+-]?{_UNSIGNED})([+-](?:{_UNSIGNED})?)i")
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse 'a', 'ai', 'a+bi', 'a-bi' (decimal or scientific) to a scalar."""
+    """Parse 'a', 'ai', 'a+bi', 'a-bi' (decimal or scientific) to a scalar.
+
+    A part too large for a float is an error; one that underflows is 0.
+    """
     s = text.strip()
     # Only the imaginary forms end in "i", and no text matches both of
     # them, so each text is tried against the forms that can match it.
     if s.endswith("i"):
         m = _COMPLEX.fullmatch(s)
         if m:
-            return complex(float(m.group(1)), _imag_part(m.group(2)))
+            return _finite(text, complex(float(m.group(1)), _imag_part(m.group(2))))
         m = _IMAG.fullmatch(s)
         if m:
-            return complex(0.0, _imag_part(m.group(1)))
+            return _finite(text, complex(0.0, _imag_part(m.group(1))))
     elif _REAL.fullmatch(s):
-        return float(s)
+        return _finite(text, float(s))
     raise ValueError(
         f"could not parse number {text!r}; expected forms like "
         "2, -0.5, 1e-3, 2i, -i, 2+3i")
+
+
+def _finite(text: str, z: Scalar) -> Scalar:
+    # The grammar admits only digits, so an infinite part is an overflow.
+    if cmath.isinf(z):
+        raise ValueError(f"number {text!r} is too large for a float")
+    return z
 
 
 def _imag_part(g: str) -> float:
@@ -134,8 +144,8 @@ def _cmd_converge(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     chunks = _sweep_chunks(args.kmax, args.step, args.depth)
     print("k,extracted,abs_dev")
-    # One format and one print per chunk: a format per row takes about a
-    # sixth longer, and a print per row about a fifth.  "%.15g" is fmt_real
+    # One format and one print per chunk: a format or a print per row
+    # would add a large share of the sweep's time.  "%.15g" is fmt_real
     # here: it differs only on -0.0, which neither column can hold, since
     # abs() never returns -0.0 and x - 0.5 is never -0.0 under
     # round-to-nearest.

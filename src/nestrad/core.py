@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "DEPTH_CAP",
@@ -253,15 +253,30 @@ def _tower(y: Scalar, depth: int, gray: int,
     return (2.0 ** depth) * outer(y)
 
 
-def _towers(y: float, depth: int, grays: Sequence[int]) -> list[float]:
-    # _tower(y, depth, g, acos_outer) for every Gray code g in grays, with
-    # the same expression order, so each lane is bitwise equal to it.
-    # Precondition, kept by every caller: the arguments are validated and
-    # y is a real float in [-1, 1].  Then every radicand is a float in
-    # [0, 1], or [0, 4] for the closing map, where principal_sqrt is
-    # exactly math.sqrt.
-    return _climb(_gray_tree(y, min(depth, (len(grays) - 1).bit_length())),
-                  grays, depth)
+#: Branches per batch of _towers, and leaves of its Gray tree at most:
+#: enough lanes to share the inner radicals and amortize the list work,
+#: few enough that memory stays bounded for any sweep.
+_BATCH = 4096
+
+
+def _gray(k: int) -> int:
+    return k ^ (k >> 1)
+
+
+def _towers(y: float, depth: int, ks: Sequence[int]
+            ) -> Iterator[tuple[Sequence[int], list[float]]]:
+    # (chunk, values) for each run of at most _BATCH branch indices of ks,
+    # where values[i] is _tower(y, depth, _gray(chunk[i]), acos_outer) bit
+    # for bit.  One Gray tree, as tall as one batch needs, serves every
+    # chunk.  Precondition, kept by every caller: the arguments are
+    # validated, y is a real float in [-1, 1] and 0 <= k < 2**(depth-1),
+    # which keeps the tree below the tower's top.  Then every radicand is
+    # a float in [0, 1], or [0, 4] for the closing map, where
+    # principal_sqrt is exactly math.sqrt.
+    tree = _gray_tree(y, (min(len(ks), _BATCH) - 1).bit_length())
+    for lo in range(0, len(ks), _BATCH):
+        chunk = ks[lo:lo + _BATCH]
+        yield chunk, _climb(tree, [_gray(k) for k in chunk], depth)
 
 
 def _gray_tree(y: float, height: int) -> list[float]:

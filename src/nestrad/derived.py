@@ -9,6 +9,7 @@ complex input gets the principal root unmodified.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .core import (
@@ -132,11 +133,16 @@ def nested_log(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scala
 
     The mean collapses y and 1/y, so the principal inverse returns
     |log y| for real y > 0; the sign is restored from y < 1.  Raises
-    ZeroDivisionError at y = 0.
+    ZeroDivisionError at y = 0 and OverflowError where 1/y overflows.
     """
     if y == 0:
         raise ZeroDivisionError("logarithm of zero")
-    v = nested_acosh((y + 1.0 / y) / 2.0, depth, allow_deep=allow_deep)
+    r = 1.0 / y
+    if cmath.isinf(r):
+        raise OverflowError(
+            f"1/y overflows at y = {y!r}; the logarithm's symmetric mean "
+            "needs a finite reciprocal")
+    v = nested_acosh((y + r) / 2.0, depth, allow_deep=allow_deep)
     if _is_real(y) and 0.0 < _real(y) < 1.0:
         return -v
     return v

@@ -24,9 +24,8 @@ __all__ = [
 ]
 
 #: Coefficient count 2**depth + 1 and coefficient bit-lengths both grow
-#: geometrically, so a full expansion costs about 3x more per extra depth:
-#: 1.8 ms at depth 8, 12 ms at depth 10 and 0.14 s at depth 12 (CPython
-#: 3.11, one Xeon core).  From depth 10 on the largest denominators exceed
+#: geometrically, so each extra depth multiplies the cost of a full
+#: expansion.  From depth 10 on the largest denominators exceed
 #: Python's default 4300-digit limit for int-to-str conversion, so the CLI
 #: cannot print those coefficients unless PYTHONINTMAXSTRDIGITS lifts it.
 EXPANSION_DEPTH_CAP = 12

@@ -15,7 +15,6 @@ from itertools import chain
 from typing import Callable, Iterator
 
 from .branches import (
-    _gray,
     _reflect,
     branch_oracle_acos,
     gray_signs,
@@ -26,8 +25,6 @@ from .core import (
     EvalConfig,
     Scalar,
     _check_seed_order,
-    _climb,
-    _gray_tree,
     _is_int,
     _is_real,
     _real,
@@ -297,12 +294,6 @@ def sweep_branches(k_max: int, step: int = 1,
         zip(*cols) for cols in _sweep_chunks(k_max, step, depth))
 
 
-#: Branches per chunk of a sweep, and leaves of its Gray tree at most:
-#: enough lanes to share the inner radicals and amortize the list work,
-#: few enough that memory stays bounded for any k_max.
-_SWEEP_CHUNK = 4096
-
-
 def _sweep_chunks(k_max: int, step: int, depth: int
                   ) -> Iterator[tuple[range, list[float], list[float]]]:
     # The rows of sweep_branches as columns (ks, extracted, abs_dev), one
@@ -319,16 +310,10 @@ def _sweep_chunks(k_max: int, step: int, depth: int
 
 def _sweep_columns(ks: range, depth: int
                    ) -> Iterator[tuple[range, list[float], list[float]]]:
-    # One Gray tree serves every chunk, and each chunk climbs from its
-    # leaves.  The tree is as tall as one chunk's lanes need and no
-    # taller; k_max < 2**(depth-1) keeps it below the tower's top.
     # extract_branch is written out: on a float it is v / pi - 0.5.
     pi = math.pi
-    tree = _gray_tree(0.0, (min(len(ks), _SWEEP_CHUNK) - 1).bit_length())
-    for lo in range(0, len(ks), _SWEEP_CHUNK):
-        chunk = ks[lo:lo + _SWEEP_CHUNK]
-        extracted = [v / pi - 0.5
-                     for v in _climb(tree, [_gray(k) for k in chunk], depth)]
+    for chunk, values in _towers(0.0, depth, ks):
+        extracted = [v / pi - 0.5 for v in values]
         yield chunk, extracted, [abs(e - k) for e, k in zip(extracted, chunk)]
 
 
@@ -361,7 +346,7 @@ def reproduce_table1(depth: int = 10) -> list[Table1Row]:
     check_depth(depth)
     if depth < 10:
         raise ValueError(f"table needs depth >= 10, got {depth}")
-    values = _towers(0.0, depth, [_gray(k) for k in range(8)])
+    [(_, values)] = _towers(0.0, depth, range(8))
     rows = []
     for k, value in enumerate(values):
         signs = gray_signs(k, depth)
@@ -375,8 +360,7 @@ def reproduce_table2(depth: int = 10) -> list[Table2Row]:
     check_depth(depth)
     if depth < 10:
         raise ValueError(f"table needs depth >= 10, got {depth}")
-    grays = [_gray(k) for k in range(11)]
-    plus = _towers(1.0, depth, grays)
-    minus = _towers(-1.0, depth, grays)
+    [(_, plus)] = _towers(1.0, depth, range(11))
+    [(_, minus)] = _towers(-1.0, depth, range(11))
     return [Table2Row(k, plus[k] / math.pi, minus[k] / math.pi)
             for k in range(11)]

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -49,6 +50,21 @@ def test_parse_scalar_forms(text, expected):
 def test_parse_scalar_rejects(text):
     with pytest.raises(ValueError, match="could not parse"):
         parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e999", "1e400i", "2+1e400i",
+                                  "1e400-2i", "-1e309i"])
+def test_parse_scalar_rejects_overflowing_literals(text):
+    # float() rounds these to inf; no evaluator takes inf as input.
+    with pytest.raises(ValueError, match=f"number '{re.escape(text)}' is too large"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1e-400", 0.0), ("-1e-400", -0.0), ("1e-400i", 0j), ("2+1e-400i", 2 + 0j),
+])
+def test_parse_scalar_accepts_underflow_to_zero(text, expected):
+    assert repr(parse_scalar(text)) == repr(expected)
 
 
 def test_format_real():
@@ -352,6 +368,22 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
                                       "--width", "4"])
     assert main() == 0
     assert capsys.readouterr().out == "++--\n"
+
+
+def test_overflowing_literal_is_an_argument_error():
+    # Parsed to inf, 1e400 printed "value nan+infi ... abs_error nan" with
+    # exit 0 for acos, and blamed the depth for cos.
+    for fn in ("acos", "cos"):
+        code, out, err = run_cli(["eval", fn, "1e400"])
+        assert (code, out) == (2, "")
+        assert err == "error: number '1e400' is too large for a float\n"
+
+
+def test_log_of_reciprocal_overflow_is_a_numeric_error():
+    # 1/y overflows here, and nested_log returned -inf with exit 0.
+    code, out, err = run_cli(["eval", "log", "1e-320"])
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric error: 1/y overflows at y = 1e-320;")
 
 
 def test_unknown_function_is_an_argument_error():

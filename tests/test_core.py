@@ -37,7 +37,7 @@ from nestrad import (
     principal_sqrt,
 )
 from nestrad import branches, core
-from nestrad.core import _tower, _towers
+from nestrad.core import _climb, _gray_tree, _tower, _towers
 
 from bitwise import assert_bitwise_equal
 
@@ -423,18 +423,29 @@ def test_forward_inverse_round_trip():
         assert abs(nested_acos(nested_cos(x, EvalConfig(10, 4)), 10) - x) <= 1e-5
 
 
+def _batched(y, depth, ks):
+    # All values _towers yields for the branch indices ks, after checking
+    # that its chunks are ks cut into consecutive runs of 4096.
+    batches = list(_towers(y, depth, ks))
+    assert [list(chunk) for chunk, _ in batches] == [
+        list(ks[lo:lo + 4096]) for lo in range(0, len(ks), 4096)]
+    return [v for _, values in batches for v in values]
+
+
 @pytest.mark.parametrize("depth", [1, 2, 10, 25, 30])
 @pytest.mark.parametrize("y", [0.0, -0.0, 1.0, -1.0, 0.3, -0.7])
 def test_towers_match_single_tower_bitwise(y, depth):
     # The batched kernel shares the inner radicals of lanes with equal low
     # Gray bits; each lane must still be the single tower, bit for bit.
-    # Lane counts 1..3 and 4096/4097 sit on and around tree-size edges.
+    # Lane counts 1..3 and 4096/4097 sit on and around tree-size and chunk
+    # edges, capped at the 2**(depth-1) branches a tower has.
     rng = random.Random(f"towers:{y!r}:{depth}")
-    lane_sets = [[k ^ (k >> 1) for k in range(n)] for n in (1, 2, 3, 4096, 4097)]
-    lane_sets.append(rng.sample(range(2 ** depth), min(300, 2 ** depth)))
-    for grays in lane_sets:
-        want = [_tower(y, depth, g, acos_outer) for g in grays]
-        assert_bitwise_equal(_towers(y, depth, grays), want)
+    branches = 2 ** (depth - 1)
+    k_sets = [range(min(n, branches)) for n in (1, 2, 3, 4096, 4097)]
+    k_sets.append(rng.sample(range(branches), min(300, branches)))
+    for ks in k_sets:
+        want = [_tower(y, depth, k ^ (k >> 1), acos_outer) for k in ks]
+        assert_bitwise_equal(_batched(y, depth, ks), want)
 
 
 @pytest.mark.parametrize("depth", [14, 22, 25])
@@ -442,24 +453,24 @@ def test_towers_match_single_tower_bitwise(y, depth):
 def test_towers_uniform_levels_match_single_tower(c, depth):
     # An aligned chunk of 4096 branch indices is the sweep's case: above
     # the 12 tree levels every Gray bit is uniform across the lanes.
-    grays = [k ^ (k >> 1) for k in range(4096 * c, 4096 * (c + 1))]
-    want = [_tower(0.0, depth, g, acos_outer) for g in grays]
-    assert_bitwise_equal(_towers(0.0, depth, grays), want)
+    ks = range(4096 * c, 4096 * (c + 1))
+    want = [_tower(0.0, depth, k ^ (k >> 1), acos_outer) for k in ks]
+    assert_bitwise_equal(_batched(0.0, depth, ks), want)
 
 
 def test_towers_mixed_uniform_and_varying_levels():
-    # Three lanes build a two-level tree from bits 0 and 1.  Above it,
+    # Three lanes on a two-level tree from bits 0 and 1.  Above it,
     # bits 4 and 9 are set in every lane, bits 7 and 11 differ between
     # lanes and the rest are clear: all three level paths run.
     grays = [0b1010_1001_0000, 0b0010_0001_0011, 0b1010_0001_0000]
     for y in (0.0, 0.3, -1.0):
         want = [_tower(y, 14, g, acos_outer) for g in grays]
-        assert_bitwise_equal(_towers(y, 14, grays), want)
+        assert_bitwise_equal(_climb(_gray_tree(y, 2), grays, 14), want)
 
 
 @pytest.mark.parametrize("y", [0.0, 0.3, -1.0])
 def test_towers_fused_runs_of_set_bits(y):
-    # 512 lanes build a nine-level tree and rise through bits 9..11.  Above
+    # 512 lanes on a nine-level tree rise through bits 9..11.  Above
     # them every lane has bits 12..15, 17..19, 21..22 and 24 set and the
     # rest clear: bits 12..15 take the fused four-level set pass, and the
     # set runs of three, two and one level take single set passes, between
@@ -467,7 +478,7 @@ def test_towers_fused_runs_of_set_bits(y):
     high = sum(1 << b for b in (12, 13, 14, 15, 17, 18, 19, 21, 22, 24))
     grays = [(k ^ (k >> 1)) | high for k in range(512)]
     want = [_tower(y, 25, g, acos_outer) for g in grays]
-    assert_bitwise_equal(_towers(y, 25, grays), want)
+    assert_bitwise_equal(_climb(_gray_tree(y, 9), grays, 25), want)
 
 
 def _literal_tower(y, depth, gray, outer):

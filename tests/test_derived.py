@@ -133,6 +133,19 @@ def test_log_zero_pole():
         nested_log(0.0, 10)
 
 
+@pytest.mark.parametrize("y", [1e-320, 5e-309, -1e-320, 5e-324, 1e-320j,
+                               1e-320 + 1e-320j])
+def test_log_rejects_reciprocal_overflow(y):
+    # 1/y overflows, and the log came out -inf or nan+nanj.
+    with pytest.raises(OverflowError, match="1/y overflows"):
+        nested_log(y, 10)
+
+
+def test_log_just_above_reciprocal_overflow():
+    # 1/6e-309 is finite, so the mean stays the one it always was.
+    assert nested_log(6e-309, 10) == -723.9970751233714
+
+
 @pytest.mark.parametrize("y", [2.0, 4.0, 8.0, 0.5, 0.25, 3.0, 10.0, 1.5, 7.0])
 def test_log_reciprocal_negation(y):
     # (y + 1/y)/2 is invariant under y -> 1/y, so the inner acosh values
