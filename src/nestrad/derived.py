@@ -78,12 +78,24 @@ def nested_tan(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     return t
 
 
+def _square(y: Scalar, name: str) -> Scalar:
+    # y**2 for asin and asinh, which overflows from about |y| = 1.34e154.
+    s = y * y
+    if cmath.isinf(s):
+        raise OverflowError(
+            f"y**2 overflows at y = {y!r}; the {name} radicand needs a "
+            "finite square")
+    return s
+
+
 def nested_asin(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
     """nested_acos of the principal root of 1 - y**2.
 
     Returns the magnitude branch: real y and -y give the same value.
+    Raises OverflowError where y**2 overflows.
     """
-    return nested_acos(principal_sqrt(1.0 - y * y), depth, allow_deep=allow_deep)
+    return nested_acos(principal_sqrt(1.0 - _square(y, "arcsine")), depth,
+                       allow_deep=allow_deep)
 
 
 def nested_atan(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
@@ -111,8 +123,12 @@ def nested_tanh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
 
 
 def nested_asinh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
-    """nested_acosh of sqrt(1 + y**2), with the sign of real y."""
-    v = nested_acosh(principal_sqrt(1.0 + y * y), depth, allow_deep=allow_deep)
+    """nested_acosh of sqrt(1 + y**2), with the sign of real y.
+
+    Raises OverflowError where y**2 overflows.
+    """
+    v = nested_acosh(principal_sqrt(1.0 + _square(y, "inverse hyperbolic sine")),
+                     depth, allow_deep=allow_deep)
     return _odd(v, y)
 
 

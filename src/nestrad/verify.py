@@ -1,8 +1,9 @@
 """Reference oracles, error reports, convergence tables, and reproductions.
 
-The nested evaluators are checked against closed-form references: the
-standard library for single-valued cases, and the logarithmic forms of
-the complex inverse cosines where branch conventions matter.  The same
+The nested evaluators are checked against closed-form references from
+the standard library.  Branch k of the inverse cosine reflects its
+principal value, and branch k of the inverse hyperbolic cosine is +-1j
+times that, with the sign the tower's closing radical picks.  The same
 machinery backs the command-line interface.
 """
 
@@ -69,8 +70,9 @@ __all__ = [
 def ref_acos(z: Scalar) -> complex:
     """Closed-form principal inverse cosine pi/2 + i*log(iz + sqrt(1 - z**2)).
 
-    Evaluated literally with principal log and square root; serves as the
-    branch-convention reference for the nested inverse.
+    Evaluated literally with principal log and square root.  Kept public
+    as the literal log form; eval_report does not call it, since the log
+    cancels for large |z|.
     """
     w = complex(z)
     return math.pi / 2 + 1j * cmath.log(1j * w + cmath.sqrt(1.0 - w * w))
@@ -82,6 +84,7 @@ def ref_acosh(z: Scalar) -> complex:
     The square root is taken factored, sqrt(z - 1)*sqrt(z + 1), which keeps
     the whole left half-plane on the sheet with nonnegative real part; the
     unfactored product would drop to the opposite sheet for re(z) < 0.
+    Kept public as the literal log form; eval_report does not call it.
     """
     w = complex(z)
     return cmath.log(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0))
@@ -120,54 +123,39 @@ class ConvergenceRow:
     error_ratio: float
 
 
-def _acos_principal(z: Scalar) -> complex:
-    # ref_acos on its own sheet, but not through its log formula, which
-    # cancels for large |z| (5e-7 relative off at -1e6 and at 1e6+1j),
-    # raises from about |z| = 1e8 and overflows or returns nan from about
-    # 1.3e154 up.  Off the real axis cmath.acos is on that sheet; real
-    # input off [-1, 1] goes through math.acosh.
-    if not _is_real(z):
-        return cmath.acos(z)
-    x = _real(z)
-    if abs(x) > 1.0:
-        t = math.acosh(abs(x))
-        return complex(0.0, t) if x > 0.0 else complex(math.pi, -t)
-    return ref_acos(z)
-
-
-def _acosh_principal(z: Scalar) -> complex:
-    # ref_acosh likewise: acosh(x) from 1 up, acosh(-x) + i*pi from -1 down.
-    x = _real(z)
-    if _is_real(z) and abs(x) >= 1.0:
-        return complex(math.acosh(abs(x)), math.pi if x < 0.0 else 0.0)
-    return ref_acosh(z)
-
-
 def _acos_oracle(z: Scalar, branch: int = 0) -> complex:
-    x = _real(z)
-    if _is_real(z) and -1.0 <= x <= 1.0:
-        # Real arguments in range have exactly real branch values; the
-        # closed form keeps the oracle free of log-formula roundoff.
-        return complex(_reflect(math.acos(x), branch), 0.0)
-    return _reflect(_acos_principal(z), branch)
+    # Branch k of the inverse cosine on the principal sheet of ref_acos,
+    # but not through its log formula, which cancels for large |z| (5e-7
+    # relative off at -1e6 and at 1e6+1j), raises from about |z| = 1e8 and
+    # overflows or returns nan from about 1.3e154 up.  Real input in range
+    # has an exactly real value, real input off [-1, 1] goes through
+    # math.acosh, and everything else, NaN included, through cmath.acos.
+    if _is_real(z):
+        x = _real(z)
+        if -1.0 <= x <= 1.0:
+            return complex(_reflect(math.acos(x), branch), 0.0)
+        if abs(x) > 1.0:
+            t = math.acosh(abs(x))
+            a = complex(0.0, t) if x > 0.0 else complex(math.pi, -t)
+            return _reflect(a, branch)
+    return _reflect(cmath.acos(z), branch)
 
 
 def _acosh_oracle(z: Scalar, branch: int = 0) -> complex:
-    x = _real(z)
-    if branch != 0 and _is_real(z) and -1.0 <= x <= 1.0:
-        # On [-1, 1] the signed tower closes on a nonpositive real, so
-        # every hyperbolic branch is exactly 1j times the circular one.
-        return complex(0.0, _reflect(math.acos(x), branch))
-    if branch == 0:
-        return _acosh_principal(z)
-    if branch == -1:
-        return -_acosh_principal(z)
-    # Off [-1, 1] branch k is +-1j times branch k of acos, a.  The closing
-    # radical picks the sign: y_depth - 1 is about -a**2 / 2**(2*depth + 1),
-    # and its principal root, negated with a for k < 0, is +1j*a exactly
-    # when a**2 lies below the real axis.
-    a = _reflect(_acos_principal(z), branch)
-    return 1j * a if (a * a).imag < 0 else -1j * a
+    # Branch k is +-1j times branch k of acos, a, and branch -k-1 is minus
+    # branch k.  The closing radical takes the principal root of
+    # y_depth - 1, about -a**2 / 2**(2*depth + 1), so the rotation it
+    # picks has a positive real part, or a zero one with a nonnegative
+    # imaginary part.  Both quarter turns are written out: 1j*a makes
+    # inf*0 = nan at infinite a, and 0.0 - t gives a zero part +0.0, as
+    # cmath.acosh does on the real line.
+    if branch < 0:
+        return -_acosh_oracle(z, -branch - 1)
+    a = _acos_oracle(z, branch)
+    h = complex(0.0 - a.imag, a.real)
+    if h.real > 0.0 or (h.real == 0.0 and h.imag >= 0.0):
+        return h
+    return complex(a.imag, 0.0 - a.real)
 
 
 def _std_oracle(real_fn: Callable[[float], float],

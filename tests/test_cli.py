@@ -386,6 +386,15 @@ def test_log_of_reciprocal_overflow_is_a_numeric_error():
     assert err.startswith("numeric error: 1/y overflows at y = 1e-320;")
 
 
+@pytest.mark.parametrize("argv", [["asin", "1e155"], ["asin", "2e154+1i"],
+                                  ["asinh", "1e155i"], ["asinh", "-1e200"]])
+def test_asin_asinh_square_overflow_is_a_numeric_error(argv):
+    # y**2 overflows here: a numeric failure, not a nan or inf value.
+    code, out, err = run_cli(["eval", *argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric error: y**2 overflows at y = ")
+
+
 def test_unknown_function_is_an_argument_error():
     got, _, err = run_cli(["eval", "nope", "1"])
     assert got == 2

@@ -44,6 +44,8 @@ ARGVS = [
     ["eval", "acos", "2+3i", "--branch", "5", "--json"],
     ["eval", "acosh", "0.5", "--branch", "-3"],
     ["eval", "acosh", "2", "--branch", "1"],
+    ["eval", "acosh", "0.5"],
+    ["eval", "acosh", "-0.3", "--json"],
     ["eval", "atanh", "-0.5"],
     ["eval", "asinh", "-3", "--json"],
     ["eval", "tanh", "-1.5"],
@@ -120,7 +122,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 24
+    assert parsed == 26
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

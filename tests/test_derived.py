@@ -146,6 +146,24 @@ def test_log_just_above_reciprocal_overflow():
     assert nested_log(6e-309, 10) == -723.9970751233714
 
 
+@pytest.mark.parametrize("fn", [nested_asin, nested_asinh])
+@pytest.mark.parametrize("y", [1e155, -1e200, 1e308, 2e154 + 1j, 1e155j])
+def test_asin_asinh_reject_square_overflow(fn, y):
+    # y**2 overflows, so the radicand would be nan or inf.
+    with pytest.raises(OverflowError, match=r"y\*\*2 overflows at y = "):
+        fn(y, 10)
+
+
+@pytest.mark.parametrize("y", [1.34e154, -1.34e154, 1.3e154j, 1e154 + 1j])
+def test_asin_asinh_just_below_square_overflow(y):
+    # y**2 is finite, so the radicands stay the ones they always were.
+    assert repr(nested_asin(y, 10)) == \
+        repr(nested_acos(principal_sqrt(1.0 - y * y), 10))
+    v = nested_acosh(principal_sqrt(1.0 + y * y), 10)
+    want = -v if isinstance(y, float) and y < 0 else v
+    assert repr(nested_asinh(y, 10)) == repr(want)
+
+
 @pytest.mark.parametrize("y", [2.0, 4.0, 8.0, 0.5, 0.25, 3.0, 10.0, 1.5, 7.0])
 def test_log_reciprocal_negation(y):
     # (y + 1/y)/2 is invariant under y -> 1/y, so the inner acosh values

@@ -1,0 +1,80 @@
+"""The README's examples, run as written.
+
+Two kinds are checked.  In the quick start, each line `expr  # value`
+evaluates to an object whose repr is value (a note after a comma is
+dropped).  Each `$ nestrad ...` line, its trailing comment stripped,
+exits 0 and prints the lines that follow it up to a blank line or the
+next prompt; a final `...` line makes them a prefix of the output.
+"""
+
+import contextlib
+import io
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from nestrad.cli import main
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
+TEXT = README.read_text()
+
+
+def _quick_start():
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", TEXT, re.S)
+    setup, checks = [], []
+    for line in block.group(1).splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            checks.append((code.strip(), comment.split(", ")[0]))
+        else:
+            setup.append(line)
+    return "\n".join(setup), checks
+
+
+def _prompts():
+    lines = TEXT.splitlines()
+    calls = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ nestrad"):
+            continue
+        argv = shlex.split(line[len("$ nestrad"):], comments=True)
+        expected = []
+        for out in lines[i + 1:]:
+            if not out or out.startswith("$ ") or out.startswith("```"):
+                break
+            expected.append(out)
+        calls.append((argv, expected))
+    return calls
+
+
+SETUP, CHECKS = _quick_start()
+PROMPTS = _prompts()
+
+
+def test_readme_has_examples():
+    assert len(CHECKS) == 5
+    assert len(PROMPTS) == 12
+
+
+@pytest.mark.parametrize("expr,want", CHECKS, ids=[c[0] for c in CHECKS])
+def test_quick_start_value(expr, want):
+    namespace = {}
+    exec(SETUP, namespace)
+    assert repr(eval(expr, namespace)) == want
+
+
+@pytest.mark.parametrize("argv,expected", PROMPTS,
+                         ids=[" ".join(p[0]) for p in PROMPTS])
+def test_command_line_example(argv, expected):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    got = out.getvalue().splitlines()
+    if expected[-1:] == ["..."]:
+        expected = expected[:-1]
+        got = got[:len(expected)]
+    if expected:
+        assert got == expected

@@ -79,11 +79,10 @@ def test_inverse_cosine_oracles_match_mpmath_on_the_real_line():
                 for k in (0, 1, 2, -1, -2, 7):
                     b = branch(a, k)
                     assert rel(FUNCTIONS["acos"].oracle(x, k), b) <= 2 ** -51, (x, k)
-                    if k not in (0, -1):
-                        # Off branches 0 and -1, acosh is +-1j times acos.
-                        got = FUNCTIONS["acosh"].oracle(x, k)
-                        err = min(rel(got, 1j * b), rel(got, -1j * b))
-                        assert err <= 2 ** -51, (x, k)
+                    # On every branch acosh is +-1j times acos.
+                    got = FUNCTIONS["acosh"].oracle(x, k)
+                    err = min(rel(got, 1j * b), rel(got, -1j * b))
+                    assert err <= 2 ** -51, (x, k)
 
 
 @pytest.mark.parametrize("z", [1e3 + 1j, 1e6 + 1j, -1e6 + 1j, 1e10 + 1j,
@@ -107,9 +106,23 @@ def test_inverse_cosine_oracles_match_mpmath_off_the_real_line(z):
         for k in (0, 1, 2, -1, -2, 7):
             b = branch(a, k)
             assert rel(FUNCTIONS["acos"].oracle(z, k), b) <= 2 ** -51, k
-            if k not in (0, -1):
-                got = FUNCTIONS["acosh"].oracle(z, k)
-                assert min(rel(got, 1j * b), rel(got, -1j * b)) <= 2 ** -51, k
+            got = FUNCTIONS["acosh"].oracle(z, k)
+            assert min(rel(got, 1j * b), rel(got, -1j * b)) <= 2 ** -51, k
+
+
+@pytest.mark.parametrize("x", [0.5, -0.3, 1e-3, -0.999, 1.0, -1.0])
+def test_acosh_oracle_is_imaginary_on_the_interval(x):
+    # On [-1, 1] branch 0 of acosh is exactly i*acos(x), with zero parts
+    # of +0.0 as cmath.acosh gives.
+    v = FUNCTIONS["acosh"].oracle(x, 0)
+    assert repr(v) == repr(complex(0.0, math.acos(x))) == repr(cmath.acosh(x))
+
+
+@pytest.mark.parametrize("name", ["acos", "acosh"])
+@pytest.mark.parametrize("k", [0, 3, -2])
+def test_inverse_cosine_oracles_of_nan_are_nan(name, k):
+    v = FUNCTIONS[name].oracle(math.nan, k)
+    assert math.isnan(v.real) and math.isnan(v.imag)
 
 
 def test_oracle_inverts_cosine():
