@@ -72,13 +72,12 @@ def gray_adjacent_distance(k: int, width: int) -> int:
 def _branch(y: Scalar, k: int, depth: int, allow_deep: bool,
             outer: Callable[[Scalar], Scalar]) -> Scalar:
     check_depth(depth, allow_deep=allow_deep)
-    # A k that is not a real number goes to _check_index, which rejects it.
-    if not isinstance(k, (int, float)) or k >= 0:
-        _check_index(k, depth)
-        return _tower(y, depth, _gray(k), outer)
-    if not _is_int(k) or -k >= 2 ** (depth - 1):
-        raise _index_error(k, f"depth {depth}", f"|k| < {2 ** (depth - 1)}")
-    return -_tower(y, depth, _gray(-k - 1), outer)
+    half = 2 ** (depth - 1)
+    if not _is_int(k) or not -half <= k < half:
+        raise _index_error(k, f"depth {depth}", f"{-half} <= k < {half}")
+    if k < 0:
+        return -_tower(y, depth, _gray(-k - 1), outer)
+    return _tower(y, depth, _gray(k), outer)
 
 
 def nested_acos_branch(y: Scalar, k: int, depth: int = 10, *,
@@ -87,7 +86,7 @@ def nested_acos_branch(y: Scalar, k: int, depth: int = 10, *,
 
     k = 0 reproduces nested_acos.  Negative k mirrors through zero:
     branch -k of a value is minus branch k - 1, covering the branches
-    below the principal one.
+    below the principal one, so -2**(depth-1) <= k < 2**(depth-1).
     """
     return _branch(y, k, depth, allow_deep, acos_outer)
 

@@ -37,8 +37,7 @@ __all__ = ["main", "parse_scalar", "fmt_scalar"]
 
 _UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL = re.compile(rf"[+-]?{_UNSIGNED}")
-_IMAG = re.compile(rf"([+-]?{_UNSIGNED}|[+-]?)i")
-_COMPLEX = re.compile(rf"([+-]?{_UNSIGNED})([+-](?:{_UNSIGNED})?)i")
+_IMAGINARY = re.compile(rf"[+-]?(?:{_UNSIGNED}[+-])?(?:{_UNSIGNED})?i")
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -47,16 +46,13 @@ def parse_scalar(text: str) -> Scalar:
     A part too large for a float is an error; one that underflows is 0.
     """
     s = text.strip()
-    # Only the imaginary forms end in "i", and no text matches both of
-    # them, so each text is tried against the forms that can match it.
-    if s.endswith("i"):
-        m = _COMPLEX.fullmatch(s)
-        if m:
-            return _finite(text, complex(float(m.group(1)), _imag_part(m.group(2))))
-        m = _IMAG.fullmatch(s)
-        if m:
-            return _finite(text, complex(0.0, _imag_part(m.group(1))))
-    elif _REAL.fullmatch(s):
+    # Every imaginary form is Python's complex notation once its "i" reads
+    # "j", and complex() converts each part as float() does, signed zeros
+    # included: "-i", "-0i" and "0-0i" keep their signs.  Only imaginary
+    # text ends in "i", so real text skips that pattern.
+    if s.endswith("i") and _IMAGINARY.fullmatch(s):
+        return _finite(text, complex(s[:-1] + "j"))
+    if _REAL.fullmatch(s):
         return _finite(text, float(s))
     raise ValueError(
         f"could not parse number {text!r}; expected forms like "
@@ -68,14 +64,6 @@ def _finite(text: str, z: Scalar) -> Scalar:
     if cmath.isinf(z):
         raise ValueError(f"number {text!r} is too large for a float")
     return z
-
-
-def _imag_part(g: str) -> float:
-    if g in ("", "+"):
-        return 1.0
-    if g == "-":
-        return -1.0
-    return float(g)
 
 
 def fmt_real(x: float) -> str:

@@ -295,10 +295,10 @@ def _gray_tree(y: float, height: int) -> list[float]:
 def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
     # Every lane from its leaf of tree up the remaining levels of the
     # tower, then the closing map.  Four levels whose Gray bit is clear in
-    # every lane take one fused pass, as do four whose bit is set in every
-    # lane; any other level takes a pass of its own, testing each lane only
-    # where its bit differs between lanes.  Every radical is _tower's
-    # expression in _tower's order, so each lane is bitwise equal to it.
+    # every lane take one fused pass; any other level takes a pass of its
+    # own, testing each lane only where its bit differs between lanes.
+    # Every radical is _tower's expression in _tower's order, so each lane
+    # is bitwise equal to it.
     # Above the tree every level of an aligned sweep chunk is uniform: the
     # Gray codes of 2**h aligned indices differ only in their low h bits.
     sqrt = math.sqrt
@@ -313,10 +313,6 @@ def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
         if all_clear & quad == quad:
             lanes = [sqrt((sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0)
                                 + 1.0) / 2.0) + 1.0) / 2.0) for v in lanes]
-            i += 4
-        elif all_set & quad == quad:
-            lanes = [-sqrt((-sqrt((-sqrt((-sqrt((v + 1.0) / 2.0) + 1.0) / 2.0)
-                                  + 1.0) / 2.0) + 1.0) / 2.0) for v in lanes]
             i += 4
         else:
             bit = 1 << i

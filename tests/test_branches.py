@@ -101,28 +101,29 @@ def test_negative_branch_is_exact_mirror():
 
 
 def test_negative_branch_range_error():
-    with pytest.raises(ValueError, match="-512"):
-        nested_acos_branch(0.0, -512, 10)
-    with pytest.raises(ValueError):
-        nested_acosh_branch(0.0, -512, 10)
-    # A non-int index names its type; a negative one is checked against
-    # |k| < 512, a nonnegative one against 0 <= k < 512.
+    # One signed range, -512 <= k < 512 at depth 10: every branch has its
+    # mirror, the top one 511 included.
+    for branch in (nested_acos_branch, nested_acosh_branch):
+        assert repr(branch(0.3, -512, 10)) == repr(-branch(0.3, 511, 10))
+        for k in (-513, 512):
+            with pytest.raises(ValueError, match=f"branch index {k} out of range"
+                               r" for depth 10; need -512 <= k < 512$"):
+                branch(0.0, k, 10)
+    # A non-int index names its type, whatever its sign.
     for k, kind in ((True, "bool"), (2.5, "float"), (-2.5, "float"),
                     (-1.0, "float")):
         for branch in (nested_acos_branch, nested_acosh_branch):
             with pytest.raises(ValueError, match=f"branch index {k} out of range"
-                               f" .*; need an int .* < 512, got {kind}$"):
+                               f" for depth 10; need an int -512 <= k < 512, "
+                               f"got {kind}$"):
                 branch(0.0, k, 10)
     # An index that does not compare with 0 is rejected the same way, not
     # with a TypeError from the sign test.
     for k, kind in (("3", "str"), (None, "NoneType"), (1j, "complex")):
         for branch in (nested_acos_branch, nested_acosh_branch):
             with pytest.raises(ValueError, match="branch index .* out of range "
-                               rf"for width 10; need an int 0 <= k < 512, got {kind}$"):
+                               rf"for depth 10; need an int -512 <= k < 512, got {kind}$"):
                 branch(0.0, k, 10)
-    # An int index keeps the message without the type.
-    with pytest.raises(ValueError, match=r"; need \|k\| < 512$"):
-        nested_acos_branch(0.0, -600, 10)
 
 
 def test_branch_values_match_oracle_depth_15():

@@ -42,6 +42,16 @@ def test_parse_scalar_forms(text, expected):
     assert parse_scalar(text) == expected
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("-i", "-1j"), ("1+i", "(1+1j)"), ("-2-i", "(-2-1j)"), ("-0i", "-0j"),
+    ("0-0i", "-0j"), ("-0-0i", "(-0-0j)"), ("-0+.5i", "(-0+0.5j)"),
+])
+def test_parse_scalar_keeps_signed_zeros_and_unit_parts(text, expected):
+    # A bare sign is a unit imaginary part, and each part keeps the sign of
+    # its text, zeros included.
+    assert repr(parse_scalar(text)) == expected
+
+
 @pytest.mark.parametrize("text", [
     "", "abc", "1+1", "2 + 3i", "i2", "2j", "--3", "1e", "nan", "inf",
     # float() takes the first three; the grammar takes none of them.

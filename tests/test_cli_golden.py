@@ -32,6 +32,7 @@ ARGVS = [
     ["eval", "exp-limit", "1", "--depth", "12"],
     ["eval", "sin", "1", "--branch", "1"],
     ["eval", "acos", "0", "--branch", "600"],
+    ["eval", "acos", "0.5", "--branch", "-512"],
     ["eval", "log", "0"],
     ["converge", "acos", "0.3", "--depths", "4..12"],
     ["sweep", "--kmax", "40", "--depth", "12"],
@@ -122,7 +123,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 26
+    assert parsed == 27
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

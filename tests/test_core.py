@@ -472,9 +472,8 @@ def test_towers_mixed_uniform_and_varying_levels():
 def test_towers_fused_runs_of_set_bits(y):
     # 512 lanes on a nine-level tree rise through bits 9..11.  Above
     # them every lane has bits 12..15, 17..19, 21..22 and 24 set and the
-    # rest clear: bits 12..15 take the fused four-level set pass, and the
-    # set runs of three, two and one level take single set passes, between
-    # single clear levels.
+    # rest clear: the set runs of four, three, two and one level all take
+    # single set passes, between single clear levels.
     high = sum(1 << b for b in (12, 13, 14, 15, 17, 18, 19, 21, 22, 24))
     grays = [(k ^ (k >> 1)) | high for k in range(512)]
     want = [_tower(y, 25, g, acos_outer) for g in grays]

@@ -42,15 +42,66 @@ def test_each_public_name_is_its_defining_modules_object():
         assert getattr(nestrad, name) is getattr(module, name), name
 
 
+def _modules():
+    src = pathlib.Path(nestrad.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+
+
 def test_imports_only_the_standard_library():
     # README: no dependencies outside the standard library.
-    src = pathlib.Path(nestrad.__file__).parent
     modules = set()
-    for path in src.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _modules().values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules.update(a.name.partition(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 modules.add(node.module.partition(".")[0])
     assert {"argparse", "cmath", "math"} <= modules
     assert modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
+
+
+def _reads(node):
+    # The names a piece of code reads, bare or as an attribute.
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _defines(node):
+    # The private names a top-level statement defines: functions,
+    # classes and constants with one leading underscore.
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_import_is_used():
+    # Dead-code guard: a name a module imports is read in it.  Star
+    # imports and __future__ are exempt.
+    for name, tree in _modules().items():
+        used = set(_reads(tree))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names if a.name != "*"]
+            else:
+                continue
+            unused = set(bound) - used
+            assert not unused, f"{name}.py imports {sorted(unused)} and never reads them"
+
+
+def test_every_private_definition_is_read():
+    # Dead-code guard: each private module-level function, class or
+    # constant is read somewhere in the package outside its own definition.
+    statements = [node for tree in _modules().values() for node in tree.body]
+    reads = [set(_reads(node)) for node in statements]
+    unread = [name for i, node in enumerate(statements) for name in _defines(node)
+              if not any(name in r for j, r in enumerate(reads) if j != i)]
+    assert not unread, f"defined and never read: {unread}"

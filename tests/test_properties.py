@@ -6,6 +6,9 @@ Hypothesis still caches the constants it finds in the source under
 .hypothesis/, which .gitignore lists.
 """
 
+import cmath
+import contextlib
+import io
 import math
 
 import pytest
@@ -14,7 +17,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nestrad import FUNCTIONS, nested_acos_branch, nested_acosh_branch
+from nestrad import (
+    FUNCTIONS,
+    EvalConfig,
+    nested_acos_branch,
+    nested_acosh_branch,
+    nested_asin,
+    nested_asinh,
+    nested_atan,
+    nested_atanh,
+    nested_cos,
+    nested_cosh,
+    nested_sin,
+    nested_sinh,
+    nested_tan,
+    nested_tanh,
+)
+from nestrad.cli import fmt_scalar, main, parse_scalar
 
 REPRODUCIBLE = settings(derandomize=True, database=None, deadline=None,
                         max_examples=500)
@@ -28,11 +47,11 @@ ARGS = st.one_of(
 
 
 @st.composite
-def towers(draw, mirrored=False):
+def towers(draw):
     # (y, k, depth) with 0 <= k < 2**(depth - 1), the branches a depth
-    # has; mirrored, k also has branch -k-1, whose |-k-1| < 2**(depth - 1).
-    depth = draw(st.integers(1 + mirrored, 30))
-    k = draw(st.integers(0, 2 ** (depth - 1) - 1 - mirrored))
+    # has; each has its mirror -k-1.
+    depth = draw(st.integers(1, 30))
+    k = draw(st.integers(0, 2 ** (depth - 1) - 1))
     return draw(ARGS), k, depth
 
 
@@ -45,7 +64,7 @@ def quarter_turn(a):
 
 
 @REPRODUCIBLE
-@given(towers(mirrored=True))
+@given(towers())
 def test_negative_branches_mirror_bitwise(case):
     y, k, depth = case
     for branch in (nested_acos_branch, nested_acosh_branch):
@@ -74,3 +93,135 @@ def test_acosh_oracle_branch_zero_is_principal(z):
     v = FUNCTIONS["acosh"].oracle(z, 0)
     assert v.real > 0.0 or (v.real == 0.0 and v.imag >= 0.0), v
     assert -math.pi <= v.imag <= math.pi, v
+
+
+# The scalar grammar: repr text of finite floats comes back bit for bit,
+# signed zeros, subnormals and the largest floats included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _signed(b):
+    return "-" if math.copysign(1.0, b) < 0.0 else "+"
+
+
+@REPRODUCIBLE
+@given(FINITE, FINITE)
+@example(0.0, -0.0)
+@example(-0.0, 0.0)
+@example(5e-324, -2.5e-310)
+@example(1.7e308, -1.7e308)
+def test_repr_text_parses_bitwise(a, b):
+    assert repr(parse_scalar(repr(a))) == repr(a)
+    got = parse_scalar(f"{a!r}{_signed(b)}{abs(b)!r}i")
+    assert repr(got) == repr(complex(a, b))
+    assert repr(parse_scalar(f"{b!r}i")) == repr(complex(0.0, b))
+
+
+# fmt_scalar keeps 15 significant digits, so each part comes back within
+# 6e-15 relative.  Parts stay below 1e308: the 15-digit text of the very
+# largest floats rounds above the float range.
+NORMAL = st.floats(-1e308, 1e308, allow_subnormal=False)
+
+
+@REPRODUCIBLE
+@given(st.one_of(NORMAL, st.builds(complex, NORMAL, NORMAL)))
+@example(-0.0)
+@example(complex(2.2250738585072014e-308, -1e308))
+def test_formatted_text_parses_to_15_digits(v):
+    got = complex(parse_scalar(fmt_scalar(v)))
+    for part, want in ((got.real, complex(v).real), (got.imag, complex(v).imag)):
+        assert abs(part - want) <= 6e-15 * abs(want), (v, got)
+
+
+def _outcome(fn, *args):
+    # A value, or the type of the error raised instead.
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e)
+
+
+def _negated(v):
+    return v if isinstance(v, type) else -v
+
+
+def _same(a, b):
+    # Equal values (so 0.0 matches -0.0), NaN matching NaN, or the same
+    # error type on both sides.
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return a == b or (cmath.isnan(a) and cmath.isnan(b))
+
+
+DEPTHS = st.integers(1, 30)
+REALS = st.floats(allow_nan=False)
+
+
+@REPRODUCIBLE
+@given(st.one_of(REALS, st.builds(complex, REALS, REALS)), DEPTHS,
+       st.integers(1, 4))
+def test_cos_and_cosh_are_bitwise_even(x, depth, order):
+    cfg = EvalConfig(depth, order)
+    for fn in (nested_cos, nested_cosh):
+        a, b = _outcome(fn, x, cfg), _outcome(fn, -x, cfg)
+        assert repr(a) == repr(b), (fn.__name__, x)
+
+
+@REPRODUCIBLE
+@given(REALS, DEPTHS)
+def test_odd_functions_are_odd_and_asin_is_even(x, depth):
+    cfg = EvalConfig(depth)
+    for fn, arg in ((nested_sinh, cfg), (nested_tanh, cfg), (nested_atan, depth),
+                    (nested_asinh, depth), (nested_atanh, depth)):
+        a, b = _outcome(fn, -x, arg), _outcome(fn, x, arg)
+        assert _same(a, _negated(b)), (fn.__name__, x)
+    # nested_asin returns the magnitude branch, the same for y and -y.
+    a, b = _outcome(nested_asin, -x, depth), _outcome(nested_asin, x, depth)
+    assert repr(a) == repr(b), x
+
+
+@REPRODUCIBLE
+@given(FINITE, DEPTHS)
+def test_sin_and_tan_are_odd_off_their_zeros(x, depth):
+    # The sign comes from x reduced by the period; where that is exactly
+    # zero, both x and -x take the positive root.
+    cfg = EvalConfig(depth)
+    for fn, period in ((nested_sin, math.tau), (nested_tan, math.pi)):
+        a, b = _outcome(fn, -x, cfg), _outcome(fn, x, cfg)
+        if isinstance(b, type) or math.remainder(x, period) != 0.0:
+            assert _same(a, _negated(b)), (fn.__name__, x)
+
+
+PARTS = st.floats(-1e308, 1e308)
+
+
+@st.composite
+def eval_argvs(draw):
+    # nestrad eval on any function, finite real or complex text, any depth
+    # under the cap and any seed order; acos and acosh also get a branch,
+    # in range or out of it.
+    name = draw(st.sampled_from(sorted(FUNCTIONS)))
+    a = draw(PARTS)
+    text = repr(a)
+    if draw(st.booleans()):
+        b = draw(PARTS)
+        text += f"{_signed(b)}{abs(b)!r}i"
+    depth = draw(DEPTHS)
+    argv = ["eval", name, text, "--depth", str(depth),
+            "--seed-order", str(draw(st.integers(1, 4)))]
+    if name in ("acos", "acosh"):
+        argv += ["--branch", str(draw(st.integers(-2 ** depth, 2 ** depth)))]
+    return argv
+
+
+@REPRODUCIBLE
+@given(eval_argvs())
+@example(["eval", "log", "0"])
+@example(["eval", "tan", "0", "--depth", "1"])
+@example(["eval", "acos", "0", "--branch", "512"])
+def test_eval_exits_0_2_or_3_with_stderr_only_on_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
