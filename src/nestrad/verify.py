@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -109,8 +110,19 @@ def make_report(input: Scalar, value: Scalar, oracle_value: Scalar,
     """Build an EvalReport; rel_error uses max(|oracle|, 1) as the scale."""
     abs_error = abs(value - oracle_value)
     rel_error = abs_error / max(abs(oracle_value), 1.0)
-    return EvalReport(input, value, oracle_value, abs_error, rel_error,
-                      depth, seed_order, branch)
+    # EvalReport's frozen __init__ makes one object.__setattr__ per field;
+    # fill the same __dict__, in dataclasses.fields order, without it.
+    r = object.__new__(EvalReport)
+    d = r.__dict__
+    d["input"] = input
+    d["value"] = value
+    d["oracle_value"] = oracle_value
+    d["abs_error"] = abs_error
+    d["rel_error"] = rel_error
+    d["depth"] = depth
+    d["seed_order"] = seed_order
+    d["branch"] = branch
+    return r
 
 
 @dataclass(frozen=True)
@@ -160,14 +172,22 @@ def _acosh_oracle(z: Scalar, branch: int = 0) -> complex:
 
 def _std_oracle(real_fn: Callable[[float], float],
                 complex_fn: Callable[[complex], complex]) -> Callable[..., Scalar]:
+    # Real input falls back to cmath off math's domain or range.  Where
+    # cmath overflows too, the error names the reference and z, as the
+    # evaluators' numeric errors do.
     def oracle(z: Scalar, branch: int = 0) -> Scalar:
-        if not _is_real(z):
-            return complex_fn(z)
-        x = _real(z)
         try:
-            return real_fn(x)
-        except (ValueError, OverflowError):
-            return complex_fn(complex(x, 0.0))
+            if not _is_real(z):
+                return complex_fn(z)
+            x = _real(z)
+            try:
+                return real_fn(x)
+            except (ValueError, OverflowError):
+                return complex_fn(complex(x, 0.0))
+        except OverflowError:
+            raise OverflowError(
+                f"the reference {complex_fn.__name__} overflows at z = {z!r}; "
+                "there is no finite value to compare against") from None
     return oracle
 
 
@@ -182,6 +202,12 @@ class FunctionSpec:
 def _sin_shift(x: Scalar, cfg: EvalConfig) -> Scalar:
     # Alternative sine route: evaluate the cosine chain at x - pi/2.
     return nested_cos(x - math.pi / 2, cfg)
+
+
+# Validated configs of the "config" kind.  typed=True keeps depth=True and
+# depth=10.0 off the cached 1 and 10, so they still reach EvalConfig and
+# raise; lru_cache never caches an exception, so a miss raises as before.
+_config = lru_cache(maxsize=256, typed=True)(EvalConfig)
 
 
 def _spec(fn: Callable[..., Scalar], takes: str,
@@ -199,7 +225,12 @@ def _spec(fn: Callable[..., Scalar], takes: str,
         if branch != 0 and not takes_branch:
             raise ValueError("branch selection only applies to acos and acosh")
         if takes == "config":
-            return fn(z, EvalConfig(depth, seed_order, allow_deep))
+            try:
+                cfg = _config(depth, seed_order, allow_deep)
+            except TypeError:
+                # An unhashable argument: EvalConfig validates it uncached.
+                cfg = EvalConfig(depth, seed_order, allow_deep)
+            return fn(z, cfg)
         _check_seed_order(seed_order)
         if takes == "limit":
             check_depth(depth, allow_deep=allow_deep)

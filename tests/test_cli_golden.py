@@ -34,6 +34,7 @@ ARGVS = [
     ["eval", "acos", "0", "--branch", "600"],
     ["eval", "acos", "0.5", "--branch", "-512"],
     ["eval", "log", "0"],
+    ["eval", "exp-limit", "800+1i"],
     ["converge", "acos", "0.3", "--depths", "4..12"],
     ["sweep", "--kmax", "40", "--depth", "12"],
     ["table1"],
@@ -123,7 +124,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 27
+    assert parsed == 28
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

@@ -2,7 +2,9 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from nestrad import (
     DEFAULT_CONFIG,
     FUNCTIONS,
+    EvalConfig,
+    EvalReport,
     FunctionSpec,
     converge,
     eval_report,
@@ -23,7 +27,9 @@ from nestrad import (
     reproduce_table1,
     reproduce_table2,
     sweep_branches,
+    verify,
 )
+from nestrad.core import _check_seed_order
 
 from bitwise import assert_bitwise_equal
 
@@ -149,6 +155,32 @@ def test_report_arithmetic():
     assert hash(r) == hash(make_report(0.0, 0.4, 0.5, 4, 2))
 
 
+@pytest.mark.parametrize("args", [
+    (0.0, 0.4, 0.5, 4, 2, 0),
+    (-0.0, -3.25, -3.0, 30, 1, 0),
+    (2 + 3j, 1.5 - 2j, 1.5 - 2.0000001j, 25, 4, -3),
+    (0.5, 0.25 + 0j, 0.25, 10, 3, 7),
+])
+def test_make_report_matches_the_dataclass_init(args):
+    # make_report skips the generated __init__; the report it builds must
+    # be the one EvalReport(...) builds from the same fields.
+    z, value, oracle, depth, order, branch = args
+    abs_error = abs(value - oracle)
+    want = EvalReport(z, value, oracle, abs_error,
+                      abs_error / max(abs(oracle), 1.0), depth, order, branch)
+    r = make_report(*args)
+    assert type(r) is EvalReport and dataclasses.is_dataclass(r)
+    assert r == want and hash(r) == hash(want) and repr(r) == repr(want)
+    assert dataclasses.asdict(r) == dataclasses.asdict(want)
+    assert list(vars(r)) == [f.name for f in dataclasses.fields(EvalReport)]
+    assert dataclasses.replace(r, depth=7) == dataclasses.replace(want, depth=7)
+    assert dataclasses.replace(r) == r
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.value = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.depth
+
+
 def test_eval_report_forward_defaults():
     r = eval_report("cos", math.pi / 3)
     assert r.depth == 10 and r.seed_order == 2 and r.branch == 0
@@ -188,10 +220,93 @@ def test_eval_report_checks_seed_order_without_a_seed(name, order):
         eval_report(name, 0.5, seed_order=order)
 
 
+CONFIG_NAMES = ["cos", "sin", "tan", "cosh", "sinh", "tanh", "exp", "sin-shift"]
+
+
+def _outcome(call):
+    # A call's value by repr, or the type and message of what it raised.
+    try:
+        return "value", repr(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _validate(name, depth, seed_order, allow_deep):
+    # The checks eval_report makes before it evaluates: the kinds other
+    # than "config" check seed_order first.
+    if name not in CONFIG_NAMES:
+        _check_seed_order(seed_order)
+    EvalConfig(depth, seed_order, allow_deep)
+
+
+def test_config_cache_validates_like_evalconfig(monkeypatch):
+    # The cached configs of the eight "config" functions must raise and
+    # return exactly as a fresh EvalConfig per call does, cold and warm.
+    # Warming with depths 1 and 10 and orders 1 and 2 puts the keys that
+    # True, 10.0 and [2] would hit, were the cache not typed or hashed.
+    grid = list(itertools.product(
+        [10, 0, 31, True, 10.0, "10", [10]], [2, 0, 5, True, [2]],
+        [False, [], True]))
+
+    def outcomes(name):
+        return [_outcome(lambda: eval_report(name, 0.5, depth=d, seed_order=o,
+                                             allow_deep=a).value)
+                for d, o, a in grid]
+
+    for name in FUNCTIONS:
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_config", EvalConfig)
+            uncached = outcomes(name)
+        verify._config.cache_clear()
+        cold = outcomes(name)
+        for depth, order in itertools.product([1, 10], [1, 2]):
+            eval_report(name, 0.5, depth=depth, seed_order=order)
+        warm = outcomes(name)
+        assert cold == uncached and warm == uncached, name
+        for (d, o, a), got in zip(grid, uncached):
+            want = _outcome(lambda: _validate(name, d, o, a))
+            if want[0] == "value":
+                assert got[0] == "value", (name, d, o, a)
+            else:
+                assert got == want, (name, d, o, a)
+    assert uncached[grid.index((31, 2, True))][0] == "value"
+    assert uncached[grid.index((10, 2, []))][0] == "value"
+
+
+def test_config_cache_is_used_and_bounded():
+    verify._config.cache_clear()
+    for _ in range(5):
+        eval_report("cos", 0.7342, depth=17, seed_order=3)
+    eval_report("sin", 0.7342, depth=17, seed_order=3)
+    info = verify._config.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
+    # From depth 1024 the seed's 2.0**depth overflows, so stop at 1000.
+    for depth in range(31, 1001):
+        eval_report("cos", 0.5, depth=depth, allow_deep=True)
+    info = verify._config.cache_info()
+    assert info.maxsize == 256 and info.currsize == info.maxsize
+
+
 def test_std_oracle_complex_and_out_of_domain_input():
     assert FUNCTIONS["cos"].oracle(1 + 1j, 0) == cmath.cos(1 + 1j)
     assert FUNCTIONS["asin"].oracle(2.0, 0) == cmath.asin(complex(2.0, 0.0))
     assert FUNCTIONS["log"].oracle(-1.0, 0) == cmath.log(complex(-1.0, 0.0))
+
+
+@pytest.mark.parametrize("name, z, reference", [
+    ("exp-limit", 800 + 1j, "exp"), ("exp-limit", 1e300 + 1e300j, "exp"),
+    ("exp-limit", 800.0, "exp"), ("exp", 1e300 + 1j, "exp"),
+    ("cosh", 1e300, "cosh"), ("sin", 1e300j, "sin"),
+])
+def test_std_oracle_overflow_names_the_reference_and_z(name, z, reference):
+    # Where cmath overflows, the error says which reference and where, in
+    # place of the bare "math range error".
+    message = re.escape(f"the reference {reference} overflows at z = {z!r}; ")
+    with pytest.raises(OverflowError, match=message):
+        FUNCTIONS[name].oracle(z, 0)
+    if name == "exp-limit":
+        with pytest.raises(OverflowError, match=message):
+            eval_report(name, z)
 
 
 def test_eval_report_limit_and_shift_routes():
