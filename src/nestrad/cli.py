@@ -1,9 +1,9 @@
 """Command-line interface for the nested evaluators and their diagnostics.
 
-Output is deterministic: fixed 15-significant-digit formatting, complex
-values as a+bi / a-bi with no spaces, zeros normalized to "0".  Exit
-codes: 0 success, 2 argument or validation error, 3 numeric error
-(overflow or pole).
+Output is deterministic: 15 significant digits (repr for the largest
+floats), complex values as a+bi / a-bi with no spaces, zeros normalized
+to "0".  Exit codes: 0 success, 2 argument or validation error, 3
+numeric error (overflow or pole).
 
 A call that starts with a command name is parsed by that command's
 parser alone: one ArgumentParser instead of the full tree's eight,
@@ -69,7 +69,10 @@ def _finite(text: str, z: Scalar) -> Scalar:
 def fmt_real(x: float) -> str:
     if x == 0.0:
         return "0"
-    return f"{x:.15g}"
+    # 15 digits would round the largest floats past the float range.
+    if -1.797693134862315e308 <= x <= 1.797693134862315e308:
+        return f"{x:.15g}"
+    return repr(x)
 
 
 def fmt_scalar(v: Scalar) -> str:
@@ -134,9 +137,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     print("k,extracted,abs_dev")
     # One format and one print per chunk: a format or a print per row
     # would add a large share of the sweep's time.  "%.15g" is fmt_real
-    # here: it differs only on -0.0, which neither column can hold, since
-    # abs() never returns -0.0 and x - 0.5 is never -0.0 under
-    # round-to-nearest.
+    # here: it differs only on -0.0 and next to the float maximum, which
+    # neither column can hold, since abs() never returns -0.0, x - 0.5 is
+    # never -0.0 under round-to-nearest, and both stay below 2**DEPTH_CAP.
     for ks, extracted, abs_dev in chunks:
         fields = chain.from_iterable(zip(ks, extracted, abs_dev))
         print(("%d,%.15g,%.15g\n" * len(ks)) % tuple(fields), end="")

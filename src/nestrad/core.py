@@ -75,7 +75,8 @@ def check_depth(depth: int, *, allow_deep: bool = False) -> None:
     """Validate a recursion depth against the precision guard.
 
     Any depth that is not an int, a bool included, is rejected like a
-    nonpositive one rather than failing later inside a loop.
+    nonpositive one rather than failing later inside a loop.  allow_deep
+    lifts the cap up to 1023, the last depth where 2**depth is a float.
     """
     if not _is_int(depth) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth}")
@@ -83,11 +84,9 @@ def check_depth(depth: int, *, allow_deep: bool = False) -> None:
         raise ValueError(
             f"depth {depth} exceeds the cap of {DEPTH_CAP}; only entry points "
             "that take allow_deep can lift it")
-
-
-def _check_seed_order(seed_order: int) -> None:
-    if not _is_int(seed_order) or seed_order not in (1, 2, 3, 4):
-        raise ValueError(f"seed_order must be in 1..4, got {seed_order}")
+    if depth > 1023:
+        raise ValueError(f"depth {depth} exceeds 1023, even with allow_deep; "
+                         "2**depth must stay a float")
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,8 @@ class EvalConfig:
 
     depth       number of doubling steps, >= 1
     seed_order  number of series terms in the seed, 1..4
-    allow_deep  lift the depth cap; past it small |x| loses accuracy and
-                large |x| can still gain it (see DEPTH_CAP)
+    allow_deep  lift the depth cap up to 1023; past the cap small |x| loses
+                accuracy and large |x| can still gain it (see DEPTH_CAP)
     """
 
     depth: int = 10
@@ -106,7 +105,8 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         check_depth(self.depth, allow_deep=self.allow_deep)
-        _check_seed_order(self.seed_order)
+        if not _is_int(self.seed_order) or self.seed_order not in (1, 2, 3, 4):
+            raise ValueError(f"seed_order must be in 1..4, got {self.seed_order}")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -331,9 +331,11 @@ def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
 def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
     """Principal inverse cosine as a tower of depth half-angle radicals.
 
-    Real y in [-1, 1] gives a real result in [0, pi]; other input follows
-    the principal sheet of each square root, so e.g. y > 1 comes out as a
-    positive multiple of 1j.
+    Real y in [-1, 1] gives a nonnegative float, off acos(y) by up to the
+    truncation acos(y)**3 / (24 * 4**depth) plus roundoff of about
+    2**depth * sqrt(eps).  Roundoff rules at large depths, where the value
+    can leave [0, pi] (see DEPTH_CAP).  Other input follows the principal
+    sheet of each square root, so e.g. y > 1 is a positive multiple of 1j.
     """
     check_depth(depth, allow_deep=allow_deep)
     return _tower(y, depth, 0, acos_outer)

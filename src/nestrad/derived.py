@@ -66,12 +66,9 @@ def nested_sin(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
 def nested_tan(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     """Approximate tan(x) as the principal root of nested_cos(x)**-2 - 1.
 
-    Sign restored from x - pi*round(x/pi) for real x.  Raises
-    ZeroDivisionError when the nested cosine is exactly zero.
+    Sign restored from x - pi*round(x/pi) for real x.
     """
     c = nested_cos(x, cfg)
-    if c == 0:
-        raise ZeroDivisionError("nested cosine is exactly zero; tangent pole")
     t = principal_sqrt(1.0 / (c * c) - 1.0)
     if _is_real(x) and math.remainder(_real(x), math.pi) < 0.0:
         return -t

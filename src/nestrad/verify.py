@@ -26,7 +26,6 @@ from .branches import (
 from .core import (
     EvalConfig,
     Scalar,
-    _check_seed_order,
     _is_int,
     _is_real,
     _real,
@@ -204,7 +203,7 @@ def _sin_shift(x: Scalar, cfg: EvalConfig) -> Scalar:
     return nested_cos(x - math.pi / 2, cfg)
 
 
-# Validated configs of the "config" kind.  typed=True keeps depth=True and
+# Validated configs for every request.  typed=True keeps depth=True and
 # depth=10.0 off the cached 1 and 10, so they still reach EvalConfig and
 # raise; lru_cache never caches an exception, so a miss raises as before.
 _config = lru_cache(maxsize=256, typed=True)(EvalConfig)
@@ -217,23 +216,21 @@ def _spec(fn: Callable[..., Scalar], takes: str,
     takes says what fn accepts after z: "config" an EvalConfig, "depth" a
     depth, "branch" a branch index and a depth (acos and acosh, principal
     at branch 0), "limit" the limit index n = 2**depth, so that the limit
-    index scales like the chains.  seed_order is checked for every kind.
+    index scales like the chains.  EvalConfig checks every kind, depth first.
     """
     takes_branch = takes == "branch"
 
     def evaluate(z, depth, seed_order, branch, allow_deep):
         if branch != 0 and not takes_branch:
             raise ValueError("branch selection only applies to acos and acosh")
+        try:
+            cfg = _config(depth, seed_order, allow_deep)
+        except TypeError:
+            # An unhashable argument: EvalConfig validates it uncached.
+            cfg = EvalConfig(depth, seed_order, allow_deep)
         if takes == "config":
-            try:
-                cfg = _config(depth, seed_order, allow_deep)
-            except TypeError:
-                # An unhashable argument: EvalConfig validates it uncached.
-                cfg = EvalConfig(depth, seed_order, allow_deep)
             return fn(z, cfg)
-        _check_seed_order(seed_order)
         if takes == "limit":
-            check_depth(depth, allow_deep=allow_deep)
             return fn(z, 2 ** depth)
         if takes_branch:
             return fn(z, branch, depth, allow_deep=allow_deep)

@@ -77,6 +77,10 @@ ARGVS = [
     ["signs", "--branch", "1", "--width"],
     ["eval", "cos", "--", "-1"],
     ["converge", "cos", "1", "--depths", "3..4", "-h"],
+    # Depth is checked before seed order, for every function, and
+    # allow_deep stops at depth 1023.
+    ["eval", "acos", "0.5", "--depth", "0", "--seed-order", "9"],
+    ["eval", "cos", "0.5", "--depth", "1024", "--allow-deep"],
 ]
 
 
@@ -124,7 +128,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 28
+    assert parsed == 30
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

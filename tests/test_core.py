@@ -76,6 +76,11 @@ def test_check_depth_boundaries():
     check_depth(1)
     check_depth(DEPTH_CAP)
     check_depth(DEPTH_CAP + 1, allow_deep=True)
+    check_depth(1023, allow_deep=True)
+    with pytest.raises(ValueError, match="2\\*\\*depth must stay a float"):
+        check_depth(1024, allow_deep=True)
+    with pytest.raises(ValueError, match="cap of 30"):
+        check_depth(1024)
     with pytest.raises(ValueError):
         check_depth(0)
     with pytest.raises(ValueError):
@@ -292,6 +297,24 @@ def test_acos_real_goldens(y, depth, expected, tol):
 def test_acos_of_one_is_exactly_zero(depth):
     assert nested_acos(1.0, depth) == 0.0
     assert nested_acosh(1.0, depth) == 0.0
+
+
+def test_acos_of_real_input_is_a_nonnegative_float_near_acos():
+    # The docstring's claim at every depth under the cap: truncation
+    # acos(y)**3 / (24 * 4**depth) plus roundoff of about 2**depth *
+    # sqrt(eps), here allowed 2**depth * sqrt(2 * eps).  The roundoff
+    # term takes the deep results out of [0, pi], so no value is pinned.
+    rng = random.Random(5)
+    ys = [i / 64 - 1 for i in range(129)] + [rng.uniform(-1.0, 1.0)
+                                             for _ in range(200)]
+    ys += [math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 5e-324]
+    for depth in range(1, DEPTH_CAP + 1):
+        bound = 2.0 ** depth * math.sqrt(2.0 * EPS)
+        for y in ys:
+            v, theta = nested_acos(y, depth), math.acos(y)
+            assert type(v) is float and 0.0 <= v < math.inf, (y, depth)
+            assert abs(v - theta) <= theta ** 3 / (24 * 4 ** depth) + bound, \
+                (y, depth)
 
 
 def test_acosh_of_two():

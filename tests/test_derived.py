@@ -73,6 +73,26 @@ def test_tan_matches_quotient():
         assert abs(nested_tan(x, DEFAULT_CONFIG) - s / c) <= 1e-10
 
 
+def test_tan_cosine_is_never_exactly_zero():
+    # nested_tan divides by c*c, where nested_cos ends with
+    # c = -1 + 2*y*y; no float y next to +-1/sqrt(2) makes 2*y*y exactly 1.
+    for root in (math.sqrt(0.5), -math.sqrt(0.5)):
+        y = root
+        for _ in range(64):
+            y = math.nextafter(y, -math.inf)
+        for _ in range(129):
+            assert -1.0 + 2.0 * y * y != 0.0, y
+            y = math.nextafter(y, math.inf)
+
+
+def test_tan_is_finite_next_to_its_pole():
+    h = math.pi / 2
+    xs = [h, math.nextafter(h, 0.0), math.nextafter(h, 2.0), -h]
+    for depth in range(1, 31):
+        for x in xs:
+            assert math.isfinite(nested_tan(x, EvalConfig(depth))), (x, depth)
+
+
 def test_asin_complements_acos():
     assert nested_asin(1.0, 7) == nested_acos(0.0, 7)
     assert nested_asin(0.5, 10) == pytest.approx(math.pi / 6, abs=1e-6)

@@ -118,15 +118,17 @@ def test_repr_text_parses_bitwise(a, b):
 
 
 # fmt_scalar keeps 15 significant digits, so each part comes back within
-# 6e-15 relative.  Parts stay below 1e308: the 15-digit text of the very
-# largest floats rounds above the float range.
-NORMAL = st.floats(-1e308, 1e308, allow_subnormal=False)
+# 6e-15 relative, up to the largest finite float.
+NORMAL = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
 @REPRODUCIBLE
 @given(st.one_of(NORMAL, st.builds(complex, NORMAL, NORMAL)))
 @example(-0.0)
 @example(complex(2.2250738585072014e-308, -1e308))
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+@example(complex(-1.7976931348623151e308, 1.7976931348623157e308))
 def test_formatted_text_parses_to_15_digits(v):
     got = complex(parse_scalar(fmt_scalar(v)))
     for part, want in ((got.real, complex(v).real), (got.imag, complex(v).imag)):

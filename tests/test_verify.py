@@ -29,7 +29,6 @@ from nestrad import (
     sweep_branches,
     verify,
 )
-from nestrad.core import _check_seed_order
 
 from bitwise import assert_bitwise_equal
 
@@ -220,9 +219,6 @@ def test_eval_report_checks_seed_order_without_a_seed(name, order):
         eval_report(name, 0.5, seed_order=order)
 
 
-CONFIG_NAMES = ["cos", "sin", "tan", "cosh", "sinh", "tanh", "exp", "sin-shift"]
-
-
 def _outcome(call):
     # A call's value by repr, or the type and message of what it raised.
     try:
@@ -231,17 +227,10 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _validate(name, depth, seed_order, allow_deep):
-    # The checks eval_report makes before it evaluates: the kinds other
-    # than "config" check seed_order first.
-    if name not in CONFIG_NAMES:
-        _check_seed_order(seed_order)
-    EvalConfig(depth, seed_order, allow_deep)
-
-
 def test_config_cache_validates_like_evalconfig(monkeypatch):
-    # The cached configs of the eight "config" functions must raise and
-    # return exactly as a fresh EvalConfig per call does, cold and warm.
+    # Every function validates through the cached configs, which must
+    # raise and return exactly as a fresh EvalConfig per call does, cold
+    # and warm.
     # Warming with depths 1 and 10 and orders 1 and 2 puts the keys that
     # True, 10.0 and [2] would hit, were the cache not typed or hashed.
     grid = list(itertools.product(
@@ -264,7 +253,7 @@ def test_config_cache_validates_like_evalconfig(monkeypatch):
         warm = outcomes(name)
         assert cold == uncached and warm == uncached, name
         for (d, o, a), got in zip(grid, uncached):
-            want = _outcome(lambda: _validate(name, d, o, a))
+            want = _outcome(lambda: EvalConfig(d, o, a))
             if want[0] == "value":
                 assert got[0] == "value", (name, d, o, a)
             else:
@@ -280,11 +269,22 @@ def test_config_cache_is_used_and_bounded():
     eval_report("sin", 0.7342, depth=17, seed_order=3)
     info = verify._config.cache_info()
     assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
-    # From depth 1024 the seed's 2.0**depth overflows, so stop at 1000.
-    for depth in range(31, 1001):
+    # Every depth allow_deep admits past the cap, up to the bound of 1023.
+    for depth in range(31, 1024):
         eval_report("cos", 0.5, depth=depth, allow_deep=True)
     info = verify._config.cache_info()
     assert info.maxsize == 256 and info.currsize == info.maxsize
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_allow_deep_stops_where_2_to_the_depth_leaves_the_floats(name):
+    # At 1024, 2.0**depth overflows and the limit index 2**depth no longer
+    # converts to a float, so every function rejects the depth up front.
+    eval_report(name, 0.5, depth=1023, allow_deep=True)
+    with pytest.raises(ValueError, match=re.escape(
+            "depth 1024 exceeds 1023, even with allow_deep; 2**depth must "
+            "stay a float")):
+        eval_report(name, 0.5, depth=1024, allow_deep=True)
 
 
 def test_std_oracle_complex_and_out_of_domain_input():
