@@ -89,15 +89,13 @@ def fmt_scalar(v: Scalar) -> str:
 
 
 def _parse_depths(text: str) -> list[int]:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            raise ValueError(f"empty depth range {text!r}")
-        return list(range(lo, hi + 1))
-    if re.fullmatch(r"\d+", text):
-        return [int(text)]
-    raise ValueError(f"could not parse depth range {text!r}; use forms like 4..10")
+    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
+    if not m:
+        raise ValueError(f"could not parse depth range {text!r}; use forms like 4..10")
+    lo, hi = int(m[1]), int(m[2] or m[1])
+    if hi < lo:
+        raise ValueError(f"empty depth range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
@@ -135,11 +133,10 @@ def _cmd_converge(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     chunks = _sweep_chunks(args.kmax, args.step, args.depth)
     print("k,extracted,abs_dev")
-    # One format and one print per chunk: a format or a print per row
-    # would add a large share of the sweep's time.  "%.15g" is fmt_real
-    # here: it differs only on -0.0 and next to the float maximum, which
-    # neither column can hold, since abs() never returns -0.0, x - 0.5 is
-    # never -0.0 under round-to-nearest, and both stay below 2**DEPTH_CAP.
+    # One format and one print per chunk.  "%.15g" is fmt_real here: it
+    # differs only on -0.0 and next to the float maximum, which neither
+    # column can hold, since abs() never returns -0.0, x - 0.5 is never
+    # -0.0 under round-to-nearest, and both stay below 2**DEPTH_CAP.
     for ks, extracted, abs_dev in chunks:
         fields = chain.from_iterable(zip(ks, extracted, abs_dev))
         print(("%d,%.15g,%.15g\n" * len(ks)) % tuple(fields), end="")

@@ -233,18 +233,13 @@ def _tower(y: Scalar, depth: int, gray: int,
     # The one radical tower behind every inverse entry.  Bit m of the Gray
     # code gray negates the iterate after radical m, innermost m = 0, and
     # gray = 0 is the principal sheet.
-    # Real input whose radicands can never go negative runs on math.sqrt,
+    # A float whose radicands can never go negative runs on math.sqrt,
     # which returns the float principal_sqrt would: from [-1, 1] every
     # radicand lies in [0, 1], and a finite y > 1 on the principal sheet
-    # stays above 1.  Real means the types principal_sqrt turns into
-    # floats, not whatever float() takes, so "0.5" still raises TypeError.
-    # Complex infinity stays on principal_sqrt, because halving it makes
-    # a NaN imaginary part.
+    # stays above 1.
     sqrt = principal_sqrt
-    if isinstance(y, (int, float, complex)) and y.imag == 0.0:
-        x = y.real
-        if -1.0 <= x <= 1.0 or not gray and 1.0 < x < math.inf:
-            y, sqrt = float(x), math.sqrt
+    if isinstance(y, float) and (-1.0 <= y <= 1.0 or not gray and 1.0 < y < math.inf):
+        sqrt = math.sqrt
     # The half-angle step is inlined for scalar and single-branch inverses.
     for m in range(depth):
         y = sqrt((y + 1.0) / 2.0)
@@ -306,17 +301,15 @@ def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
     lanes = [tree[g & low] for g in grays]
     any_set = reduce(or_, grays, 0)
     all_set = reduce(and_, grays, any_set)
-    all_clear = ~any_set & ((1 << depth) - 1)
     i = low.bit_length()
     while i < depth:
-        quad = 15 << i
-        if all_clear & quad == quad:
+        if i + 4 <= depth and not any_set >> i & 15:
             lanes = [sqrt((sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0)
                                 + 1.0) / 2.0) + 1.0) / 2.0) for v in lanes]
             i += 4
         else:
             bit = 1 << i
-            if all_clear & bit:
+            if not any_set & bit:
                 lanes = [sqrt((v + 1.0) / 2.0) for v in lanes]
             elif all_set & bit:
                 lanes = [-sqrt((v + 1.0) / 2.0) for v in lanes]

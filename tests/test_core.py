@@ -570,11 +570,14 @@ def test_tower_matches_literal_loop(depth, monkeypatch):
 
 
 @pytest.mark.parametrize("y, gray, calls", [
-    (0.5, 0, 1), (-1.0, 2 ** 25 - 1, 1), (complex(0.3, 0.0), 5, 1),
-    (1e300, 0, 1), (1.5, 1, 26), (0.3 - 0.1j, 0, 26),
+    (0.5, 0, 1), (-1.0, 2 ** 25 - 1, 1), (complex(0.3, 0.0), 5, 26),
+    (0, 0, 26), (1e300, 0, 1), (1.5, 1, 26), (0.3 - 0.1j, 0, 26),
 ])
 def test_real_tower_runs_on_math_sqrt(y, gray, calls, monkeypatch):
-    # Only the closing map goes through principal_sqrt on the real path.
+    # Only the closing map goes through principal_sqrt on the float path.
+    # Other real types, a complex with a zero imaginary part included, take
+    # principal_sqrt at every radical; it gives them the same bits
+    # (test_tower_matches_literal_loop).
     seen = []
 
     def counted(z):

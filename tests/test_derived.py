@@ -28,6 +28,7 @@ from nestrad import (
     principal_sqrt,
 )
 from nestrad import core
+from same_depth import roundoff_bound, truncation_bound
 
 EPS = sys.float_info.epsilon
 ORDER4 = EvalConfig(10, 4)
@@ -135,6 +136,17 @@ def test_asinh_atanh_known_values():
 def test_atanh_pole(y):
     with pytest.raises(ZeroDivisionError, match="pole"):
         nested_atanh(y, 10)
+
+
+@pytest.mark.parametrize("y", [1.5, 2.0, 10.0])
+def test_asin_atanh_above_one_land_on_the_conjugate_sheet(y):
+    # For real y > 1 both evaluators return the conjugate of cmath's
+    # value, which the eval oracles use, so eval reports the gap between
+    # the sheets as error (ROADMAP item 7).  Each value stays within its
+    # tower's truncation plus roundoff bound of that conjugate.
+    for fn, ref in ((nested_asin, cmath.asin), (nested_atanh, cmath.atanh)):
+        v, a = fn(y, 10), ref(y).conjugate()
+        assert abs(v - a) <= truncation_bound(a, 10) + roundoff_bound(v, 10), fn
 
 
 def test_log_known_values():

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the branch towers and the inverse-cosine oracles.
+"""Hypothesis properties of the branch towers, their same-depth values and
+the inverse-cosine oracles.
 
 Every property runs derandomized and without an example database, so a
 run draws the same inputs each time and saves no examples between runs.
@@ -34,6 +35,14 @@ from nestrad import (
     nested_tanh,
 )
 from nestrad.cli import fmt_scalar, main, parse_scalar
+from nestrad.verify import _acos_oracle, _acosh_oracle
+from same_depth import (
+    EPS,
+    acos_same_depth,
+    acosh_same_depth,
+    roundoff_bound,
+    truncation_bound,
+)
 
 REPRODUCIBLE = settings(derandomize=True, database=None, deadline=None,
                         max_examples=500)
@@ -93,6 +102,34 @@ def test_acosh_oracle_branch_zero_is_principal(z):
     v = FUNCTIONS["acosh"].oracle(z, 0)
     assert v.real > 0.0 or (v.real == 0.0 and v.imag >= 0.0), v
     assert -math.pi <= v.imag <= math.pi, v
+
+
+@REPRODUCIBLE
+@given(towers())
+@example((987886.3382985231, 0, 30))  # the largest roundoff a search found
+def test_tower_roundoff_within_the_docstring_term(case):
+    # The tower minus its exact same-depth value is roundoff, at most
+    # ROUNDOFF_C * 2**n * sqrt(eps); same_depth derives the constant.
+    y, k, depth = case
+    for tower, same_depth in ((nested_acos_branch, acos_same_depth),
+                              (nested_acosh_branch, acosh_same_depth)):
+        s = same_depth(y, k, depth)
+        assert abs(tower(y, k, depth) - s) <= roundoff_bound(s, depth), case
+
+
+@REPRODUCIBLE
+@given(towers())
+@example((723513.7512843949, 0, 1))  # imaginary a: the bound is attained
+def test_same_depth_values_truncate_by_the_cubic_law(case):
+    # S_n minus the limit is truncation: the cubic term times the factor
+    # same_depth.truncation_bound derives, plus the rounding of S_n, of
+    # the difference and of the bound, a few ulps of |a| + |S_n| each.
+    y, k, depth = case
+    for oracle, same_depth in ((_acos_oracle, acos_same_depth),
+                               (_acosh_oracle, acosh_same_depth)):
+        a, s = oracle(y, k), same_depth(y, k, depth)
+        slack = 8 * EPS * (abs(a) + abs(s))
+        assert abs(s - a) <= truncation_bound(a, depth) + slack, case
 
 
 # The scalar grammar: repr text of finite floats comes back bit for bit,
