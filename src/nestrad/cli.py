@@ -19,18 +19,18 @@ import cmath
 import json
 import re
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from .branches import gray_signs
-from .core import Scalar
+from .core import DEPTH_MAX, Scalar
 from .expand import expand_nested_cos
 from .verify import (
     FUNCTIONS,
-    _sweep_chunks,
     converge,
     eval_report,
     reproduce_table1,
     reproduce_table2,
+    sweep_branches,
 )
 
 __all__ = ["main", "parse_scalar", "fmt_scalar"]
@@ -95,7 +95,8 @@ def _parse_depths(text: str) -> list[int]:
     lo, hi = int(m[1]), int(m[2] or m[1])
     if hi < lo:
         raise ValueError(f"empty depth range {text!r}")
-    return list(range(lo, hi + 1))
+    # converge stops at the first depth past DEPTH_MAX; so does the range.
+    return list(range(lo, min(hi, max(lo, DEPTH_MAX + 1)) + 1))
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
@@ -131,15 +132,14 @@ def _cmd_converge(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    chunks = _sweep_chunks(args.kmax, args.step, args.depth)
+    rows = sweep_branches(args.kmax, args.step, args.depth)
     print("k,extracted,abs_dev")
-    # One format and one print per chunk.  "%.15g" is fmt_real here: it
-    # differs only on -0.0 and next to the float maximum, which neither
-    # column can hold, since abs() never returns -0.0, x - 0.5 is never
-    # -0.0 under round-to-nearest, and both stay below 2**DEPTH_CAP.
-    for ks, extracted, abs_dev in chunks:
-        fields = chain.from_iterable(zip(ks, extracted, abs_dev))
-        print(("%d,%.15g,%.15g\n" * len(ks)) % tuple(fields), end="")
+    # One format and one print per batch of 4096 rows.  "%.15g" is fmt_real
+    # here: it differs only on -0.0 and next to the float maximum, which
+    # neither column can hold, since abs() never returns -0.0, x - 0.5 is
+    # never -0.0 under round-to-nearest, and both stay below 2**DEPTH_CAP.
+    while fields := tuple(chain.from_iterable(islice(rows, 4096))):
+        print(("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields, end="")
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:

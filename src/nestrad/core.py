@@ -12,11 +12,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import or_
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "DEPTH_CAP",
+    "DEPTH_MAX",
     "EvalConfig",
     "DEFAULT_CONFIG",
     "Scalar",
@@ -45,13 +46,19 @@ Scalar = float | complex
 #: the 2**n prefactor of the inverse chain amplifies the quantization of
 #: iterates pinned against 1.0 faster than the 4**-n truncation term
 #: shrinks, so for nested_acos(0) roundoff overtakes truncation between
-#: depths 12 and 14, the error is 1e-2 at depth 24, and from depth 28 on
-#: the result is 0.0, off by pi/2.  Large branches and large |x| are
-#: limited by truncation and still gain digits past the cap: branch 10**6
-#: of nested_acos_branch(0) is 3.6e-7 relative off at depth 30 and 5.9e-9
-#: at depth 33, nested_cos(1e6) 1.2e-2 and 7.3e-5 absolute, and branches
-#: k >= 2**29 exist only past it.
+#: depths 12 and 14 and the error is 1e-2 at depth 24.  A radical rounds
+#: an iterate within eps/2 below 1.0, or 2*eps above, to 1.0, and each
+#: earlier one widens that window 4x plus as much again (y + 1 rounds to
+#: the grid); scaled to the last iterate it tends to eps/6 and 2*eps/3.
+#: So the tower returns 0.0 for acos(y) < 2**n * sqrt(eps/3) and for real
+#: y > 1 with acosh(y) < 2**(n+1) * sqrt(eps/3); the forward seed, and
+#: nested_cos, is 1.0 once |x| / 2**n < sqrt(eps/2).  Large branches and
+#: large |x| are limited by truncation and still gain digits past the cap:
+#: branch 10**6 of nested_acos_branch(0) is 3.6e-7 relative off at depth
+#: 30 and 5.9e-9 at depth 33, nested_cos(1e6) 1.2e-2 and 7.3e-5 absolute,
+#: and branches k >= 2**29 exist only past it.
 DEPTH_CAP = 30
+DEPTH_MAX = 1023  #: allow_deep's bound: 2**depth must stay a float
 
 _EVEN_FACTORIALS = (1.0, 2.0, 24.0, 720.0)  # (2j)! for j = 0..3
 
@@ -76,7 +83,7 @@ def check_depth(depth: int, *, allow_deep: bool = False) -> None:
 
     Any depth that is not an int, a bool included, is rejected like a
     nonpositive one rather than failing later inside a loop.  allow_deep
-    lifts the cap up to 1023, the last depth where 2**depth is a float.
+    lifts the cap up to DEPTH_MAX.
     """
     if not _is_int(depth) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth}")
@@ -84,9 +91,9 @@ def check_depth(depth: int, *, allow_deep: bool = False) -> None:
         raise ValueError(
             f"depth {depth} exceeds the cap of {DEPTH_CAP}; only entry points "
             "that take allow_deep can lift it")
-    if depth > 1023:
-        raise ValueError(f"depth {depth} exceeds 1023, even with allow_deep; "
-                         "2**depth must stay a float")
+    if depth > DEPTH_MAX:
+        raise ValueError(f"depth {depth} exceeds {DEPTH_MAX}, even with "
+                         "allow_deep; 2**depth must stay a float")
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,8 @@ class EvalConfig:
 
     depth       number of doubling steps, >= 1
     seed_order  number of series terms in the seed, 1..4
-    allow_deep  lift the depth cap up to 1023; past the cap small |x| loses
-                accuracy and large |x| can still gain it (see DEPTH_CAP)
+    allow_deep  lift the depth cap up to DEPTH_MAX; past the cap small |x|
+                loses accuracy and large |x| can still gain it (see DEPTH_CAP)
     """
 
     depth: int = 10
@@ -290,8 +297,8 @@ def _gray_tree(y: float, height: int) -> list[float]:
 def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
     # Every lane from its leaf of tree up the remaining levels of the
     # tower, then the closing map.  Four levels whose Gray bit is clear in
-    # every lane take one fused pass; any other level takes a pass of its
-    # own, testing each lane only where its bit differs between lanes.
+    # every lane take one fused pass, and a single clear level a plain
+    # one.  A level whose bit is set in any lane tests each lane's bit.
     # Every radical is _tower's expression in _tower's order, so each lane
     # is bitwise equal to it.
     # Above the tree every level of an aligned sweep chunk is uniform: the
@@ -300,7 +307,6 @@ def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
     low = len(tree) - 1
     lanes = [tree[g & low] for g in grays]
     any_set = reduce(or_, grays, 0)
-    all_set = reduce(and_, grays, any_set)
     i = low.bit_length()
     while i < depth:
         if i + 4 <= depth and not any_set >> i & 15:
@@ -311,8 +317,6 @@ def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
             bit = 1 << i
             if not any_set & bit:
                 lanes = [sqrt((v + 1.0) / 2.0) for v in lanes]
-            elif all_set & bit:
-                lanes = [-sqrt((v + 1.0) / 2.0) for v in lanes]
             else:
                 lanes = [-sqrt((v + 1.0) / 2.0) if g & bit
                          else sqrt((v + 1.0) / 2.0) for v, g in zip(lanes, grays)]
@@ -326,9 +330,11 @@ def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scal
 
     Real y in [-1, 1] gives a nonnegative float, off acos(y) by up to the
     truncation acos(y)**3 / (24 * 4**depth) plus roundoff of about
-    2**depth * sqrt(eps).  Roundoff rules at large depths, where the value
-    can leave [0, pi] (see DEPTH_CAP).  Other input follows the principal
-    sheet of each square root, so e.g. y > 1 is a positive multiple of 1j.
+    2**depth * sqrt(eps).  Roundoff rules at large depths (see DEPTH_CAP):
+    the value can leave [0, pi], and it is 0.0 once acos(y) < 2**depth *
+    sqrt(eps/3), or for real y > 1 once acosh(y) < 2**(depth+1) *
+    sqrt(eps/3).  Other input follows the principal sheet of each square
+    root, so e.g. y > 1 is a positive multiple of 1j.
     """
     check_depth(depth, allow_deep=allow_deep)
     return _tower(y, depth, 0, acos_outer)

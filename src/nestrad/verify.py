@@ -306,14 +306,6 @@ def sweep_branches(k_max: int, step: int = 1,
     Rows come out in ascending k, from 0 to k_max inclusive by step.
     Arguments are checked here, before the first row is produced.
     """
-    return chain.from_iterable(
-        zip(*cols) for cols in _sweep_chunks(k_max, step, depth))
-
-
-def _sweep_chunks(k_max: int, step: int, depth: int
-                  ) -> Iterator[tuple[range, list[float], list[float]]]:
-    # The rows of sweep_branches as columns (ks, extracted, abs_dev), one
-    # chunk at a time.  The arguments are checked at the call.
     check_depth(depth)
     if not _is_int(step) or step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
@@ -321,7 +313,8 @@ def _sweep_chunks(k_max: int, step: int, depth: int
         raise ValueError(
             f"k_max must satisfy 0 < k_max < 2**(depth-1), got {k_max} "
             f"at depth {depth}")
-    return _sweep_columns(range(0, k_max + 1, step), depth)
+    return chain.from_iterable(
+        zip(*cols) for cols in _sweep_columns(range(0, k_max + 1, step), depth))
 
 
 def _sweep_columns(ks: range, depth: int

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from nestrad import extract_branch, nested_acos_branch, sweep_branches
-from nestrad.cli import fmt_real, fmt_scalar, main, parse_scalar
+from nestrad.cli import _parse_depths, fmt_real, fmt_scalar, main, parse_scalar
 
 from bitwise import assert_bitwise_equal
 
@@ -371,6 +371,20 @@ def test_converge_single_depth():
     header, row = out.splitlines()
     assert header == "depth,value,abs_error,error_ratio"
     assert row.startswith("7,") and row.endswith(",0")
+
+
+def test_depth_range_stops_at_the_first_depth_past_the_bound():
+    # converge rejects every depth past 1023, so a longer range is cut at
+    # its first such depth: the list stays short and the transcript is the
+    # one of 1..1024, with or without the cap lifted.
+    assert len(_parse_depths("1..1000000")) <= 1024
+    assert _parse_depths("2000..3000") == [2000]
+    for extra in ([], ["--allow-deep"]):
+        argv = ["converge", "acos", "0.5", *extra, "--depths"]
+        got = run_cli(argv + ["1..1000000"])
+        assert got == run_cli(argv + ["1..1024"])
+        assert got[0] == 2
+        assert f"depth {1024 if extra else 31} exceeds" in got[2]
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -342,14 +342,41 @@ def test_deep_tower_precision_collapse():
     v = nested_acos(0.0, 25)
     assert v == pytest.approx(1.5811388300841898, rel=1e-12)
     assert abs(v - math.pi / 2) > 5e-3
+    # Not only small angles collapse, and not only past the cap (DEPTH_CAP
+    # comment): depth n returns exactly 0.0 for acos(y) < 2**n * sqrt(eps/3)
+    # and for acosh(y) of real y > 1 below twice that, and nested_cos
+    # returns exactly 1.0 for |x| < 2**n * sqrt(eps/2).  Rows on each side.
+    r = math.sqrt(EPS / 3)
+    zero = [nested_acos(0.0, 28), nested_acos(-1.0, 29),
+            nested_acosh(2.0, 27), nested_acosh(2.0, 30),
+            nested_acosh(1000.0, 29), nested_acosh(1000.0, 30),
+            nested_acos(987886.3382985231, 30),
+            nested_acos(math.cos(0.99 * 2 ** 20 * r), 20),
+            nested_acosh(math.cosh(0.99 * 2 ** 21 * r), 20)]
+    kept = [nested_acos(0.0, 27), nested_acos(-1.0, 28),
+            nested_acosh(2.0, 26), nested_acosh(1000.0, 28),
+            nested_acos(987886.3382985231, 29),
+            nested_acos(math.cos(1.01 * 2 ** 20 * r), 20),
+            nested_acosh(math.cosh(1.01 * 2 ** 21 * r), 20)]
+    assert zero == [0.0] * len(zero) and 0.0 not in kept
+    s = math.sqrt(EPS / 2)
+    one = [nested_cos(1.0, EvalConfig(27)), nested_cos(11.0, EvalConfig(30)),
+           nested_cos(0.99 * 2 ** 20 * s, EvalConfig(20, 4))]
+    moved = [nested_cos(1.0, EvalConfig(26)), nested_cos(12.0, EvalConfig(30)),
+             nested_cos(1.01 * 2 ** 20 * s, EvalConfig(20, 4))]
+    assert one == [1.0] * len(one) and 1.0 not in moved
 
 
 def test_depth_cap_enforced_on_inverse():
     with pytest.raises(ValueError, match="allow_deep"):
         nested_acos(0.0, DEPTH_CAP + 1)
     # With the override the depth runs, at total precision loss: the
-    # iterate saturates at 1.0 and the closing radical returns zero.
+    # iterate saturates at 1.0 and the closing radical returns zero, below
+    # the same thresholds as inside the cap (acosh 35.2 and 39.8 against
+    # 2**32 * sqrt(eps/3), about 37).
     assert nested_acos(0.0, DEPTH_CAP + 1, allow_deep=True) == 0.0
+    assert nested_acosh(1e15, DEPTH_CAP + 1, allow_deep=True) == 0.0
+    assert nested_acosh(1e17, DEPTH_CAP + 1, allow_deep=True) != 0.0
 
 
 def test_large_angles_gain_digits_past_the_cap():
@@ -484,7 +511,8 @@ def test_towers_uniform_levels_match_single_tower(c, depth):
 def test_towers_mixed_uniform_and_varying_levels():
     # Three lanes on a two-level tree from bits 0 and 1.  Above it,
     # bits 4 and 9 are set in every lane, bits 7 and 11 differ between
-    # lanes and the rest are clear: all three level paths run.
+    # lanes and the rest are clear: single clear levels run between
+    # per-lane levels, which take the set bits too.
     grays = [0b1010_1001_0000, 0b0010_0001_0011, 0b1010_0001_0000]
     for y in (0.0, 0.3, -1.0):
         want = [_tower(y, 14, g, acos_outer) for g in grays]
@@ -495,8 +523,8 @@ def test_towers_mixed_uniform_and_varying_levels():
 def test_towers_fused_runs_of_set_bits(y):
     # 512 lanes on a nine-level tree rise through bits 9..11.  Above
     # them every lane has bits 12..15, 17..19, 21..22 and 24 set and the
-    # rest clear: the set runs of four, three, two and one level all take
-    # single set passes, between single clear levels.
+    # rest clear: the set runs of four, three, two and one level take the
+    # per-lane pass level by level, between single clear levels.
     high = sum(1 << b for b in (12, 13, 14, 15, 17, 18, 19, 21, 22, 24))
     grays = [(k ^ (k >> 1)) | high for k in range(512)]
     want = [_tower(y, 25, g, acos_outer) for g in grays]
@@ -555,7 +583,7 @@ def _tower_outcomes(depth):
 
 @pytest.mark.parametrize("depth", [1, 2, 10, 25, 30])
 def test_tower_matches_literal_loop(depth, monkeypatch):
-    # Real input in [-1, 1], or finite above 1 on the principal sheet, runs
+    # A float in [-1, 1], or finite above 1 on the principal sheet, runs
     # on math.sqrt; every value and every error must stay what the literal
     # principal_sqrt loop gives, by repr or by exception type and message.
     got = _tower_outcomes(depth)

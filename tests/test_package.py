@@ -8,7 +8,8 @@ import nestrad
 from nestrad import branches, core, derived, expand, verify
 
 PUBLIC = {
-    "DEFAULT_CONFIG", "DEPTH_CAP", "EXPANSION_DEPTH_CAP", "ConvergenceRow",
+    "DEFAULT_CONFIG", "DEPTH_CAP", "DEPTH_MAX", "EXPANSION_DEPTH_CAP",
+    "ConvergenceRow",
     "EvalConfig", "EvalReport", "FUNCTIONS", "FunctionSpec", "RationalPoly",
     "Scalar", "Table1Row", "Table2Row", "acos_outer", "acosh_outer",
     "branch_oracle_acos", "check_depth", "converge", "cos_seed", "cosh_seed",
@@ -26,7 +27,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 56
+    assert len(PUBLIC) == 57
     assert len(nestrad.__all__) == len(set(nestrad.__all__))
     assert set(nestrad.__all__) == PUBLIC
 
@@ -105,3 +106,13 @@ def test_every_private_definition_is_read():
     unread = [name for i, node in enumerate(statements) for name in _defines(node)
               if not any(name in r for j, r in enumerate(reads) if j != i)]
     assert not unread, f"defined and never read: {unread}"
+
+
+def test_cli_imports_only_public_names():
+    # Layering guard: the CLI is a client of the library's public names,
+    # so it imports nothing underscore-prefixed from the other modules.
+    private = [a.name for node in ast.walk(_modules()["cli"])
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.partition(".")[0] == "nestrad")
+               for a in node.names if a.name.startswith("_")]
+    assert not private, f"cli.py imports private names {private}"
