@@ -101,7 +101,9 @@ class EvalConfig:
     """Settings for the forward recursions.
 
     depth       number of doubling steps, >= 1
-    seed_order  number of series terms in the seed, 1..4
+    seed_order  number of series terms in the seed, 1..4; order 1 is the
+                constant 1.0, which doubling keeps, so every forward value
+                is constant: 1.0 for cos/cosh/exp, a zero for sin/sinh/tan/tanh
     allow_deep  lift the depth cap up to DEPTH_MAX; past the cap small |x|
                 loses accuracy and large |x| can still gain it (see DEPTH_CAP)
     """

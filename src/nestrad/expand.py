@@ -5,6 +5,8 @@ Composing -1 + 2*p**2 depth times onto the two-term seed
 composition): an even polynomial with exactly N + 1 rational coefficients.
 Its hypergeometric form T_N(t) = 2F1(-N, N; 1/2; (1 - t)/2) (DLMF 18.5(iii))
 gives each coefficient from the one before by one exact rational factor.
+Scaled by 2**((2*depth+1)*j), coefficient j is an integer: the recurrence
+divides exactly and gives odd numerators over powers of two, lowest terms.
 """
 
 from __future__ import annotations
@@ -57,14 +59,19 @@ class RationalPoly:
 
     @cached_property
     def _horner(self) -> tuple[float, ...]:
-        # Not a dataclass field, so ==, hash and repr ignore it.
-        return tuple(float(c) for c in reversed(self.coeffs))
+        # Not a dataclass field, so ==, hash and repr ignore it.  Top 0.0s
+        # are dropped: from acc = 0.0 they leave acc a zero (nan at infinite
+        # u), and the next c then gives 0*u + c, as it would without them.
+        floats = [float(c) for c in reversed(self.coeffs)]
+        top = next((i for i, c in enumerate(floats) if c), 0)
+        return tuple(floats[top:])
 
     def evaluate(self, x: float) -> float:
         """Floating-point Horner evaluation in u = x**2.
 
         The coefficients are converted to float once per polynomial, on
-        the first call.
+        the first call; top coefficients that are 0.0 as floats are skipped,
+        so from depth 7 on only 88-89 of the 2**depth + 1 enter the loop.
         """
         u = x * x
         acc = 0.0
@@ -83,15 +90,20 @@ def _coefficients(depth: int, variant: str,
         raise ValueError(
             f"variant must be 'circular' or 'hyperbolic', got {variant!r}")
     # Term ratio of 2F1(-N, N; 1/2; z) with z = -+u/2**(2*depth+2), u = x**2:
-    # c[j+1] = c[j] * (N-j)(N+j) / ((2j+1)(j+1)) * -+1/2**(2*depth+1).
+    # c[j+1] = c[j] * (N-j)(N+j) / ((2j+1)(j+1)) * -+1/2**e, e = 2*depth+1.
+    # a = c[j] * 2**(e*j) is +- the coefficient of (1 - t)**j in T_N(t), an
+    # integer; its odd part over a power of two is c[j], built with no gcd.
     n = 2 ** depth
-    scale = 2 ** (2 * depth + 1)
-    if variant == "circular":
-        scale = -scale
+    e = 2 * depth + 1
+    sign = -1 if variant == "circular" else 1
     coeffs = [Fraction(1)]
+    a = 1
     for j in range(n if last is None else min(last, n)):
-        coeffs.append(coeffs[-1] * Fraction(
-            (n - j) * (n + j), (2 * j + 1) * (j + 1) * scale))
+        a = sign * a * (n - j) * (n + j) // ((2 * j + 1) * (j + 1))
+        tz = (a & -a).bit_length() - 1
+        c = object.__new__(Fraction)
+        c._numerator, c._denominator = a >> tz, 1 << (e * (j + 1) - tz)
+        coeffs.append(c)
     return coeffs
 
 

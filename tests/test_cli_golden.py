@@ -136,10 +136,27 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
 SWEEP_16K_SHA256 = "de3da393a7b71e5ba8b0e43b9dec62769b4e24dd2f2a127fb29e2086338df5c2"
 
 
+# sha256 of the stdout of expand --depth 9, keyed by the arguments that
+# follow; 257 coefficients with denominators of up to 2,775 digits.
+EXPAND_9_SHA256 = {
+    (): "879982156b1836b4cc68ed62c161521325dffa60c27ef21e6441e229464845e2",
+    ("--hyperbolic",):
+        "8236468e8b170ea87401530a53b77f040c448f7891b56d496fdcde1acf757b4c",
+}
+
+
 def test_large_sweep_stdout_digest():
     t = transcript(["sweep", "--kmax", "16383", "--depth", "25"])
     assert (t["exit"], t["stderr"]) == (0, "")
     assert hashlib.sha256(t["stdout"].encode()).hexdigest() == SWEEP_16K_SHA256
+
+
+@pytest.mark.parametrize("extra", sorted(EXPAND_9_SHA256))
+def test_deep_expand_stdout_digest(extra):
+    t = transcript(["expand", "--depth", "9", *extra])
+    assert (t["exit"], t["stderr"]) == (0, "")
+    assert hashlib.sha256(t["stdout"].encode()).hexdigest() == \
+        EXPAND_9_SHA256[extra]
 
 
 if __name__ == "__main__":

@@ -311,3 +311,14 @@ def test_error_decreases_with_depth(name, fn, oracle, grid):
     e6, e8, e10 = (max(abs(fn(x, d) - oracle(x)) for x in grid)
                    for d in (6, 8, 10))
     assert e6 > e8 > e10
+
+
+@pytest.mark.parametrize("depth", [1, 2, 10, 30])
+def test_seed_order_one_makes_forward_functions_constant(depth):
+    # The one-term seed is 1.0, a fixed point of -1 + 2*y**2, for every x.
+    cfg = EvalConfig(depth, 1)
+    for x in (0.0, 0.5, -2.0, 3.7, 1e6, 1 + 1j):
+        for f in (nested_cos, nested_cosh, nested_exp):
+            assert f(x, cfg) == 1.0, (f.__name__, x)
+        for f in (nested_sin, nested_sinh, nested_tan, nested_tanh):
+            assert f(x, cfg) == 0.0, (f.__name__, x)

@@ -81,6 +81,59 @@ def test_error_profile():
         Fraction(-709, 41287680), Fraction(1, 3628800)]
 
 
+def _reference_coefficients(depth, variant, last=None):
+    # Reference: the term-ratio recurrence in Fraction arithmetic, one
+    # normalized Fraction multiply per coefficient.
+    n = 2 ** depth
+    scale = 2 ** (2 * depth + 1)
+    if variant == "circular":
+        scale = -scale
+    coeffs = [Fraction(1)]
+    for j in range(n if last is None else min(last, n)):
+        coeffs.append(coeffs[-1] * Fraction(
+            (n - j) * (n + j), (2 * j + 1) * (j + 1) * scale))
+    return coeffs
+
+
+@pytest.mark.parametrize("variant", ["circular", "hyperbolic"])
+@pytest.mark.parametrize("depth", range(1, EXPANSION_DEPTH_CAP + 1))
+def test_coefficients_match_fraction_recurrence(depth, variant):
+    # The expansion builds each Fraction from its slots, with no gcd; it
+    # must be the normalized Fraction in every way a caller can see.  An
+    # odd numerator over a power of two is in lowest terms; Fraction(n, d)
+    # and math.gcd cost seconds at depths 11 and 12, so they stop at 10.
+    # str is compared where the CLI can print it (see EXPANSION_DEPTH_CAP).
+    coeffs = expand_nested_cos(depth, variant).coeffs
+    ref = _reference_coefficients(depth, variant)
+    assert [(c.numerator, c.denominator) for c in coeffs] == \
+        [(r.numerator, r.denominator) for r in ref]
+    for c, r in zip(coeffs, ref):
+        n, d = c.numerator, c.denominator
+        assert type(c) is Fraction
+        assert d > 0 and d & (d - 1) == 0 and (n % 2 == 1 or d == 1)
+        assert hash(c) == hash(r) and c == r
+        if depth <= 10:
+            assert math.gcd(n, d) == 1 and c == Fraction(n, d)
+        if depth <= 9:
+            assert str(c) == str(r)
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_error_profile_matches_fraction_recurrence(depth):
+    # max_j below, at and above the degree 2**depth: the partial expansion
+    # stops at max_j, and past the degree the coefficients are zero.
+    n = 2 ** depth
+    for max_j in sorted({1, n - 1, n, n + 2}):
+        ref = _reference_coefficients(depth, "circular", max_j)
+        ref += [Fraction(0)] * (max_j + 1 - len(ref))
+        want = [c - Fraction((-1) ** j, math.factorial(2 * j))
+                for j, c in enumerate(ref)]
+        got = maclaurin_error_profile(depth, max_j)
+        assert [(e.numerator, e.denominator) for e in got] == \
+            [(e.numerator, e.denominator) for e in want]
+        assert all(type(e) is Fraction for e in got)
+
+
 def test_error_profile_validation():
     for max_j in (0, 2.5, True):
         with pytest.raises(ValueError, match="max_j"):
@@ -160,16 +213,46 @@ def _evaluate_reference(coeffs, x):
     return acc
 
 
+# Complex points with Re(u) < 0 (1+2j, -0.5-3j) give 0*u a -0.0 real part.
+EVAL_XS = (0.0, -0.0, 1e-300, 1e-3, 0.5, 1.0, -2.5, 40.0, 1e200,
+           math.inf, -math.inf, math.nan, 1 + 1j, 1 + 2j, -0.5 - 3j)
+
+
 @pytest.mark.parametrize("variant", ["circular", "hyperbolic"])
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_evaluate_matches_per_call_conversion(depth, variant):
     # repr-equal also pins the sign of zero and the nan that the 0.0 start
     # times an infinite u gives (x = 1e200 overflows u too), which a loop
     # starting from the first nonzero coefficient would turn into +-inf.
+    # From depth 7 on the top coefficients underflow to 0.0 and are not
+    # summed, so these rows also check that dropping them changes nothing.
     poly = expand_nested_cos(depth, variant)
-    xs = (0.0, -0.0, 1e-300, 1e-3, 0.5, 1.0, -2.5, 40.0, 1e200,
-          math.inf, -math.inf, math.nan, 1 + 1j)
     for _ in range(2):
-        for x in xs:
+        for x in EVAL_XS:
             assert repr(poly.evaluate(x)) == repr(
                 _evaluate_reference(poly.coeffs, x)), x
+
+
+@pytest.mark.parametrize("coeffs", [
+    (Fraction(1), Fraction(0), Fraction(1, 3)),
+    (Fraction(1), Fraction(-1, 2), Fraction(1, 2 ** 1100)),
+    (Fraction(1), Fraction(-1, 2), Fraction(-1, 2 ** 1100)),
+    (Fraction(1, 2 ** 1100),),
+    (Fraction(1, 2 ** 1100), Fraction(-1, 2 ** 1100)),
+], ids=["interior-zero", "top-underflow", "top-underflow-negated",
+        "all-underflow", "all-underflow-two"])
+def test_evaluate_drops_only_top_float_zeros(coeffs):
+    # An interior zero is summed; a top coefficient that is 0.0 as a float
+    # is not; a polynomial whose coefficients are all 0.0 keeps them all.
+    poly = RationalPoly(coeffs)
+    for x in EVAL_XS:
+        assert repr(poly.evaluate(x)) == repr(
+            _evaluate_reference(coeffs, x)), x
+
+
+def test_horner_sums_only_float_nonzero_coefficients():
+    # 88 of the 129 coefficients at depth 7 and 89 from depth 8 on are
+    # nonzero as floats; the rest underflow.
+    for variant in ("circular", "hyperbolic"):
+        assert [len(expand_nested_cos(d, variant)._horner)
+                for d in range(5, 11)] == [33, 65, 88, 89, 89, 89]
