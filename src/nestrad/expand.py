@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import factorial
+from typing import Iterator
 
 from .core import _is_int
 
@@ -80,9 +82,8 @@ class RationalPoly:
         return acc
 
 
-def _coefficients(depth: int, variant: str,
-                  last: int | None = None) -> list[Fraction]:
-    # c_0..c_last of the expansion, or all N + 1 when last is None or >= N.
+def _coefficients(depth: int, variant: str) -> Iterator[Fraction]:
+    # Yields c_0..c_N in order, each built only when it is asked for.
     if not _is_int(depth) or not 1 <= depth <= EXPANSION_DEPTH_CAP:
         raise ValueError(
             f"depth must be in 1..{EXPANSION_DEPTH_CAP}, got {depth}")
@@ -96,15 +97,14 @@ def _coefficients(depth: int, variant: str,
     n = 2 ** depth
     e = 2 * depth + 1
     sign = -1 if variant == "circular" else 1
-    coeffs = [Fraction(1)]
+    yield Fraction(1)
     a = 1
-    for j in range(n if last is None else min(last, n)):
+    for j in range(n):
         a = sign * a * (n - j) * (n + j) // ((2 * j + 1) * (j + 1))
         tz = (a & -a).bit_length() - 1
         c = object.__new__(Fraction)
         c._numerator, c._denominator = a >> tz, 1 << (e * (j + 1) - tz)
-        coeffs.append(c)
-    return coeffs
+        yield c
 
 
 def expand_nested_cos(depth: int, variant: str = "circular") -> RationalPoly:
@@ -124,7 +124,6 @@ def maclaurin_error_profile(depth: int, max_j: int) -> list[Fraction]:
     """
     if not _is_int(max_j) or max_j < 1:
         raise ValueError(f"max_j must be a positive integer, got {max_j}")
-    coeffs = _coefficients(depth, "circular", max_j)
-    coeffs += [Fraction(0)] * (max_j + 1 - len(coeffs))
+    coeffs = chain(_coefficients(depth, "circular"), repeat(Fraction(0)))
     return [c - Fraction((-1) ** j, factorial(2 * j))
-            for j, c in enumerate(coeffs)]
+            for j, c in zip(range(max_j + 1), coeffs)]

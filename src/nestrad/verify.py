@@ -286,16 +286,11 @@ def converge(name: str, z: Scalar, depths: list[int], seed_order: int = 2,
         raise ValueError("depth range must be nonempty")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError("depths must be strictly increasing")
+    values = [spec.evaluate(z, d, seed_order, 0, allow_deep) for d in depths]
     oracle_value = spec.oracle(z, 0)
-    rows: list[ConvergenceRow] = []
-    prev = 0.0
-    for i, depth in enumerate(depths):
-        value = spec.evaluate(z, depth, seed_order, 0, allow_deep)
-        abs_error = abs(value - oracle_value)
-        ratio = 0.0 if i == 0 or abs_error == 0.0 else prev / abs_error
-        rows.append(ConvergenceRow(depth, value, abs_error, ratio))
-        prev = abs_error
-    return rows
+    errors = [abs(v - oracle_value) for v in values]
+    ratios = [0.0] + [p / e if e else 0.0 for p, e in zip(errors, errors[1:])]
+    return list(map(ConvergenceRow, depths, values, errors, ratios))
 
 
 def sweep_branches(k_max: int, step: int = 1,

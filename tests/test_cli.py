@@ -347,6 +347,14 @@ def test_repeated_invocations_are_byte_identical():
      "unrecognized arguments: --allow-deep"),
     (["sweep", "--kmax", "3", "--depth", "31"], 2,
      "only entry points that take allow_deep can lift it"),
+    # At a pole converge names the evaluator's error, as eval does; a bad
+    # depth is named before the oracle is consulted.
+    (["converge", "log", "0", "--depths", "4..5"], 3, "logarithm of zero"),
+    (["converge", "atanh", "1", "--depths", "4..5"], 3,
+     "inverse hyperbolic tangent pole"),
+    (["converge", "atan", "1i", "--depths", "4..5"], 3, "arctangent poles"),
+    (["converge", "log-limit", "0", "--depths", "2..3"], 3, "logarithm of zero"),
+    (["converge", "log", "0", "--depths", "0..3"], 2, "positive integer"),
 ])
 def test_exit_codes_and_messages(argv, code, fragment):
     got, out, err = run_cli(argv)

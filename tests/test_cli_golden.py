@@ -81,6 +81,9 @@ ARGVS = [
     # allow_deep stops at depth 1023.
     ["eval", "acos", "0.5", "--depth", "0", "--seed-order", "9"],
     ["eval", "cos", "0.5", "--depth", "1024", "--allow-deep"],
+    # At a pole converge reports the evaluator's error, as eval does.
+    ["converge", "log", "0", "--depths", "4..5"],
+    ["converge", "atan", "1i", "--depths", "4..5"],
 ]
 
 
@@ -128,7 +131,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 30
+    assert parsed == 32
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

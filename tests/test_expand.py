@@ -1,6 +1,7 @@
 """Exact rational expansion of the doubled polynomial chain."""
 
 import math
+import tracemalloc
 
 from fractions import Fraction
 
@@ -132,6 +133,23 @@ def test_error_profile_matches_fraction_recurrence(depth):
         assert [(e.numerator, e.denominator) for e in got] == \
             [(e.numerator, e.denominator) for e in want]
         assert all(type(e) is Fraction for e in got)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_error_profile_builds_only_the_coefficients_it_compares():
+    # The profile pulls max_j + 1 coefficients from the expansion's
+    # generator; draining it would hold all 4097 of depth 12, about 30 MB
+    # on CPython 3.11.
+    full = _peak_bytes(expand_nested_cos, EXPANSION_DEPTH_CAP)
+    assert _peak_bytes(maclaurin_error_profile, EXPANSION_DEPTH_CAP, 3) < full / 20
 
 
 def test_error_profile_validation():

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from nestrad import (
     FUNCTIONS,
     EvalConfig,
+    converge,
+    eval_report,
     nested_acos_branch,
     nested_acosh_branch,
     nested_asin,
@@ -264,3 +266,52 @@ def test_eval_exits_0_2_or_3_with_stderr_only_on_error(argv):
         code = main(argv)
     assert code in (0, 2, 3), argv
     assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+
+
+@st.composite
+def converge_requests(draw):
+    # Any function at real z inside and outside [-1, 1], complex z or a
+    # pole, any seed order and a depth range A..B under the cap.
+    name = draw(st.sampled_from(sorted(FUNCTIONS)))
+    z = draw(st.one_of(st.floats(-1.0, 1.0), REALS, st.builds(complex, PARTS, PARTS),
+                       st.sampled_from([0.0, 1.0, -1.0, 1j, -1j])))
+    lo = draw(DEPTHS)
+    depths = list(range(lo, draw(st.integers(lo, min(lo + 8, 30))) + 1))
+    return name, z, depths, draw(st.integers(1, 4))
+
+
+def _error(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@REPRODUCIBLE
+@given(converge_requests())
+@example(("log", 0.0, [4, 5], 2))
+@example(("atanh", 1.0, [4, 5], 2))
+@example(("atan", 1j, [4, 5], 2))
+@example(("log-limit", 0.0, [2, 3], 2))
+@example(("cosh", 1e300, [4, 5], 1))  # every depth evaluates; the oracle overflows
+@example(("cos", 1e300, [1, 2], 2))   # the evaluator and the oracle both overflow
+def test_converge_agrees_with_eval_at_every_depth(req):
+    # Each row is eval_report's value and error at its depth, bit for bit.
+    # converge evaluates every depth before it consults the oracle, so its
+    # error is eval_report's at the first depth whose evaluation raises,
+    # and the oracle's only when every depth evaluates.
+    name, z, depths, order = req
+    spec = FUNCTIONS[name]
+    failing = [d for d in depths if _error(spec.evaluate, z, d, order, 0, False)]
+    try:
+        rows = converge(name, z, depths, order)
+    except Exception as e:
+        want = (_error(eval_report, name, z, depth=failing[0], seed_order=order)
+                if failing else _error(spec.oracle, z, 0))
+        assert (type(e), str(e)) == want, req
+        return
+    assert [row.depth for row in rows] == depths
+    for row in rows:
+        r = eval_report(name, z, depth=row.depth, seed_order=order)
+        assert repr((row.value, row.abs_error)) == repr((r.value, r.abs_error)), req
