@@ -197,8 +197,7 @@ def _doublings(seed: Scalar, cfg: EvalConfig) -> list[Scalar]:
         # Entry m follows doubling step m; a NaN seed fails at step 1.
         step = list(map(cmath.isfinite, ys)).index(False, 1)
         raise OverflowError(
-            f"iterate left the floating-point range after doubling step "
-            f"{step} of {cfg.depth}; a larger depth shrinks the seed argument")
+            f"iterate is not finite after doubling step {step} of {cfg.depth}")
     return ys
 
 

@@ -1,9 +1,19 @@
 """Golden CLI transcripts: stdout, stderr and exit code, byte for byte.
 
-The argv set covers every subcommand that reads the radical tower, the
-error paths, and argparse's own help, usage and invalid-choice output
-(exit code from SystemExit, help wrapped at COLUMNS=80).  Regenerate the
-recording only when a change to the output is intended:
+tests/cli_golden.json is the one copy of the pinned argv set: each record
+holds an argv and the exit code, stdout and stderr that main gave it
+(exit code from SystemExit, help wrapped at COLUMNS=80).  The records
+cover every subcommand that reads the radical tower, the error paths, and
+argparse's own help, usage and invalid-choice output.  Some pin a rule
+rather than a value: the dispatch boundary (a leftover argument and
+option, a command abbreviation, "--" before and inside a command, a
+missing option value and help after arguments); depth checked before
+seed order, for every function, and allow_deep stopping at depth 1023;
+and converge at a pole reporting the evaluator's error, as eval does.
+
+To pin a new call, append {"argv": [...]} to the file and re-record every
+record from its own argv; do so only when a change to the output is
+intended:
 PYTHONPATH=src python tests/test_cli_golden.py
 """
 
@@ -22,69 +32,7 @@ from nestrad import cli
 from nestrad.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
-
-ARGVS = [
-    ["eval", "acos", "0"],
-    ["eval", "acos", "0.5", "--branch", "3"],
-    ["eval", "acos", "-2"],
-    ["eval", "cos", "1.0471975511965976", "--depth", "4", "--seed-order", "4"],
-    ["eval", "acosh", "-2+3i", "--branch", "-2", "--json"],
-    ["eval", "exp-limit", "1", "--depth", "12"],
-    ["eval", "sin", "1", "--branch", "1"],
-    ["eval", "acos", "0", "--branch", "600"],
-    ["eval", "acos", "0.5", "--branch", "-512"],
-    ["eval", "log", "0"],
-    ["eval", "exp-limit", "800+1i"],
-    ["converge", "acos", "0.3", "--depths", "4..12"],
-    ["sweep", "--kmax", "40", "--depth", "12"],
-    ["table1"],
-    ["table2", "--depth", "25"],
-    ["signs", "--branch", "100", "--width", "25"],
-    ["expand", "--depth", "6"],
-    ["expand", "--depth", "5", "--hyperbolic"],
-    ["eval", "acos", "-0.5", "--branch", "-3"],
-    ["eval", "acos", "2+3i", "--branch", "5", "--json"],
-    ["eval", "acosh", "0.5", "--branch", "-3"],
-    ["eval", "acosh", "2", "--branch", "1"],
-    ["eval", "acosh", "0.5"],
-    ["eval", "acosh", "-0.3", "--json"],
-    ["eval", "atanh", "-0.5"],
-    ["eval", "asinh", "-3", "--json"],
-    ["eval", "tanh", "-1.5"],
-    [],
-    ["--help"],
-    ["-h", "eval"],
-    ["bogus"],
-    ["eval"],
-    ["eval", "--help"],
-    ["converge", "-h"],
-    ["sweep", "--help"],
-    ["sweep", "--kmax", "x"],
-    ["table1", "-h"],
-    ["table2", "--depth", "x"],
-    ["expand", "-h"],
-    ["signs", "--help"],
-    ["eval", "cos", "1", "--bogus"],
-    ["eval", "nosuch", "1"],
-    ["converge", "nosuch", "1", "--depths", "4"],
-    # Dispatch boundary: a leftover argument and option, a command
-    # abbreviation, "--" before and inside a command, a missing option
-    # value and help after arguments.
-    ["eval", "cos", "1", "2"],
-    ["sweep", "--kmax", "3", "--depth", "12", "--allow-deep"],
-    ["ev", "cos", "1"],
-    ["--", "eval", "cos", "1"],
-    ["signs", "--branch", "1", "--width"],
-    ["eval", "cos", "--", "-1"],
-    ["converge", "cos", "1", "--depths", "3..4", "-h"],
-    # Depth is checked before seed order, for every function, and
-    # allow_deep stops at depth 1023.
-    ["eval", "acos", "0.5", "--depth", "0", "--seed-order", "9"],
-    ["eval", "cos", "0.5", "--depth", "1024", "--allow-deep"],
-    # At a pole converge reports the evaluator's error, as eval does.
-    ["converge", "log", "0", "--depths", "4..5"],
-    ["converge", "atan", "1i", "--depths", "4..5"],
-]
+RECORDS = json.loads(GOLDEN.read_text())
 
 
 def transcript(argv):
@@ -99,10 +47,16 @@ def transcript(argv):
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a) or "(none)")
-def test_cli_transcript_is_byte_identical(argv):
-    recorded = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())}
-    assert transcript(argv) == recorded[tuple(argv)]
+@pytest.mark.parametrize("record", RECORDS,
+                         ids=[" ".join(r["argv"]) or "(none)" for r in RECORDS])
+def test_cli_transcript_is_byte_identical(record):
+    assert transcript(record["argv"]) == record
+
+
+def test_every_command_has_a_successful_record():
+    # The records alone decide which calls are pinned; a hand edit must
+    # not drop the last call that runs a command to completion.
+    assert {r["argv"][0] for r in RECORDS if r["exit"] == 0} >= set(cli._COMMANDS)
 
 
 def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
@@ -117,7 +71,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     parsed = 0
-    for argv in ARGVS:
+    for argv in (r["argv"] for r in RECORDS):
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -131,7 +85,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 32
+    assert parsed == 33
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the
@@ -163,4 +117,5 @@ def test_deep_expand_stdout_digest(extra):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([transcript(a) for a in ARGVS], indent=1) + "\n")
+    GOLDEN.write_text(json.dumps([transcript(r["argv"]) for r in RECORDS], indent=1)
+                      + "\n")

@@ -229,12 +229,10 @@ def test_overflow_reports_the_doubling_step():
 ])
 def test_overflow_names_the_first_nonfinite_step(fn, x, step):
     # Finiteness is checked once, after the last step; the message still
-    # names the step where the iterate first left the floating-point range.
+    # names the step where the iterate first stopped being finite.
     with pytest.raises(OverflowError) as info:
         fn(x, EvalConfig(10))
-    assert str(info.value) == (
-        f"iterate left the floating-point range after doubling step {step} "
-        "of 10; a larger depth shrinks the seed argument")
+    assert str(info.value) == f"iterate is not finite after doubling step {step} of 10"
 
 
 def test_error_ratio_window_second_order_seed():
@@ -365,6 +363,24 @@ def test_deep_tower_precision_collapse():
     moved = [nested_cos(1.0, EvalConfig(26)), nested_cos(12.0, EvalConfig(30)),
              nested_cos(1.01 * 2 ** 20 * s, EvalConfig(20, 4))]
     assert one == [1.0] * len(one) and 1.0 not in moved
+
+
+def test_acos_of_zero_roundoff_overtakes_truncation():
+    # The DEPTH_CAP comment's regimes for nested_acos(0): the error is the
+    # cubic truncation term at depth 11, roundoff exceeds it from depth 14
+    # on, and the error is 1e-2 at depth 24.  The roundoff also takes the
+    # value out of [0, pi], as nested_acos's docstring says.
+    def err(d):
+        return abs(nested_acos(0.0, d) - math.pi / 2)
+
+    def cubic(d):
+        return (math.pi / 2) ** 3 / (24 * 4 ** d)
+
+    assert err(11) == pytest.approx(cubic(11), rel=1e-2)
+    assert err(14) >= 5 * cubic(14)
+    assert all(err(d) > cubic(d) for d in range(14, 25))
+    assert 5e-3 < err(24) < 2e-2
+    assert nested_acos(-1.0, 14) > math.pi
 
 
 def test_depth_cap_enforced_on_inverse():
