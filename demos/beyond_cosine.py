@@ -1,4 +1,4 @@
-"""Everything else reduces to the four chains: sin, tan, exp, log and kin."""
+"""Everything else comes from the chains: sin, tan, exp, log and kin."""
 
 import math
 
@@ -22,8 +22,8 @@ def table(rows):
 
 if __name__ == "__main__":
     cfg = DEFAULT_CONFIG
-    print("sin and tan are the roots of 1 - c**2 and c**-2 - 1 on the cosine")
-    print("chain c; atan is acos of 1/sqrt(1 + y**2)")
+    print("sin is doubled beside the cosine chain c by Viete's sin 2t = 2 sin t cos t;")
+    print("tan is sin/c; atan is acos of 1/sqrt(1 + y**2)")
     table([
         ("nested_sin(1)", nested_sin(1.0, cfg), math.sin(1.0)),
         ("nested_tan(1)", nested_tan(1.0, cfg), math.tan(1.0)),
@@ -40,7 +40,7 @@ if __name__ == "__main__":
     print(f"  nested_log(-1) = {z.imag:.12f}i, pi = {math.pi:.12f}")
     print()
 
-    print("exp is cosh + sinh, both from one cosh chain")
+    print("exp is cosh + sinh, one doubling pair on the cosh chain")
     table([
         ("nested_exp(1)", nested_exp(1.0, cfg), math.e),
         ("nested_exp(-2)", nested_exp(-2.0, cfg), math.exp(-2.0)),

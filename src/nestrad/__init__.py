@@ -1,10 +1,10 @@
 """Elementary functions from one doubled-angle polynomial and its radical inverse.
 
-cos and cosh come from iterating -1 + 2*y**2 on a short series seed;
-acos and acosh run the chain backwards as nested square roots.  Sign
-choices on the radicals, ordered by a Gray code, select every other
-branch of the inverses.  The remaining elementary functions (sin, tan,
-log, exp, their inverses and hyperbolic twins) reduce to these four.
+cos and cosh come from iterating -1 + 2*y**2 on a short series seed, the
+sine doubled beside them (sin, tan, exp and hyperbolic twins); acos and
+acosh run the chain backwards as nested square roots.  Sign choices on the
+radicals, ordered by a Gray code, select every other branch of the
+inverses, and asin, atan, log and kin reduce to those radical towers.
 Exact rational expansion, closed-form oracles, and a CLI round it out.
 """
 

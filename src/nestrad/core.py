@@ -1,9 +1,10 @@
 """Half-angle recursion kernels: forward cos/cosh and their radical inverses.
 
 The forward direction seeds a short even series at the reduced argument
-x / 2**depth and doubles the angle ``depth`` times with the polynomial
--1 + 2*y**2.  The inverse direction runs the same chain backwards as a
-tower of square roots and closes with sqrt(2*(1 -+ y)) scaled by 2**depth.
+x / 2**depth and doubles the angle ``depth`` times: -1 + 2*y**2 on the
+deviation 1 - y, and Viete's sin 2t = 2 sin t cos t beside it.  The inverse
+direction runs the cosine chain backwards as a tower of square roots and
+closes with sqrt(2*(1 -+ y)) scaled by 2**depth.
 """
 
 from __future__ import annotations
@@ -51,16 +52,18 @@ Scalar = float | complex
 #: earlier one widens that window 4x plus as much again (y + 1 rounds to
 #: the grid); scaled to the last iterate it tends to eps/6 and 2*eps/3.
 #: So the tower returns 0.0 for acos(y) < 2**n * sqrt(eps/3) and for real
-#: y > 1 with acosh(y) < 2**(n+1) * sqrt(eps/3); the forward seed, and
-#: nested_cos, is 1.0 once |x| / 2**n < sqrt(eps/2).  Large branches and
-#: large |x| are limited by truncation and still gain digits past the cap:
-#: branch 10**6 of nested_acos_branch(0) is 3.6e-7 relative off at depth
-#: 30 and 5.9e-9 at depth 33, nested_cos(1e6) 1.2e-2 and 7.3e-5 absolute,
-#: and branches k >= 2**29 exist only past it.
+#: y > 1 with acosh(y) < 2**(n+1) * sqrt(eps/3).  The forward chain
+#: carries e = 1 - cos, exactly fl(x**2)/2 for tiny x at any depth and
+#: seed order > 1 (a step is 4e while 2 - e rounds to 2): nested_cos is
+#: 1.0 only for |x| < sqrt(eps/2), as math.cos is, or past the cap where
+#: the seed's (x/2**n)**2/2 underflows.  Large branches and large |x| are
+#: limited by truncation and gain digits past the cap: nested_acos_branch
+#: (0, 10**6) is 3.6e-7 relative off at depth 30 and 5.9e-9 at 33,
+#: nested_cos(1e6) 1.2e-2 and 2.0e-4 absolute; k >= 2**29 needs the lift.
 DEPTH_CAP = 30
 DEPTH_MAX = 1023  #: allow_deep's bound: 2**depth must stay a float
 
-_EVEN_FACTORIALS = (1.0, 2.0, 24.0, 720.0)  # (2j)! for j = 0..3
+_SEED_Q = ((0.5,), (1 / 24, 0.5), (1 / 720, 1 / 24, 0.5))  # q's Horner terms, orders 2..4
 
 
 def _is_int(v: object) -> bool:
@@ -104,8 +107,8 @@ class EvalConfig:
     seed_order  number of series terms in the seed, 1..4; order 1 is the
                 constant 1.0, which doubling keeps, so every forward value
                 is constant: 1.0 for cos/cosh/exp, a zero for sin/sinh/tan/tanh
-    allow_deep  lift the depth cap up to DEPTH_MAX; past the cap small |x|
-                loses accuracy and large |x| can still gain it (see DEPTH_CAP)
+    allow_deep  lift the depth cap up to DEPTH_MAX; the forward chains keep
+                their digits past it, and large |x| gains some (see DEPTH_CAP)
     """
 
     depth: int = 10
@@ -140,7 +143,7 @@ def principal_sqrt(z: Scalar) -> Scalar:
 
 
 def double_angle_step(x: Scalar) -> Scalar:
-    """One forward step: maps cos(t) to cos(2t)."""
+    """One literal forward step, cos(t) to cos(2t); the chains take it on 1 - cos t."""
     return -1.0 + 2.0 * x * x
 
 
@@ -149,31 +152,33 @@ def half_angle_step(y: Scalar) -> Scalar:
     return principal_sqrt((y + 1.0) / 2.0)
 
 
-def _seed(x: Scalar, depth: int, seed_order: int, hyperbolic: bool) -> Scalar:
-    t = x / (2.0 ** depth)
+def _seed(x: Scalar, cfg: EvalConfig, hyperbolic: bool) -> tuple[Scalar, Scalar]:
+    # e0 = -u*q = 1 - c0 for the series c0 at t = x/2**depth, u = -+t**2, and
+    # s0 = t*sqrt(q*(2 + u*q)) = sqrt(-+(1 - c0**2)), odd; e0 is even in x.
+    # q = sum of u**(j-1)/(2j)!, j < seed_order; order 1 is 1.0 for every x.
+    t = x / (2.0 ** cfg.depth)
+    if cfg.seed_order == 1:  # before t*t or t can overflow into inf*0.0
+        return 0.0, (0.0 * t if cmath.isfinite(t) else 0.0)
     u = t * t
     if not hyperbolic:
         u = -u
-    # Powers of u only, so the seed is bitwise even in x.
-    acc: Scalar = 1.0
-    p: Scalar = 1.0
-    for j in range(1, seed_order):
-        p = p * u
-        acc = acc + p / _EVEN_FACTORIALS[j]
-    return acc
+    q: Scalar = 0.0
+    for f in _SEED_Q[cfg.seed_order - 2]:
+        q = q * u + f
+    return -u * q, t * principal_sqrt(q * (2.0 + u * q))
 
 
 def cos_seed(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     """Truncated cosine series at the reduced argument x / 2**depth."""
-    return _seed(x, cfg.depth, cfg.seed_order, hyperbolic=False)
+    return 1.0 - _seed(x, cfg, False)[0]
 
 
 def cosh_seed(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     """Truncated hyperbolic-cosine series at the reduced argument."""
-    return _seed(x, cfg.depth, cfg.seed_order, hyperbolic=True)
+    return 1.0 - _seed(x, cfg, True)[0]
 
 
-def _trace(y: Scalar, step: Callable[[Scalar], Scalar], n: int) -> list[Scalar]:
+def _trace(y, step: Callable, n: int) -> list:
     # y and its first n images under step; the one recorder of iterates.
     ys = [y]
     for _ in range(n):
@@ -181,24 +186,31 @@ def _trace(y: Scalar, step: Callable[[Scalar], Scalar], n: int) -> list[Scalar]:
     return ys
 
 
-def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool) -> Scalar:
-    y = seed = _seed(x, cfg.depth, cfg.seed_order, hyperbolic)
-    # The doubling step is inlined.  NaN and inf persist under -1 + 2*y**2,
-    # so one check after the last step catches any non-finite iterate; only
-    # then is the chain re-run to name the step where it first appeared.
+def _double(pair: tuple[Scalar, Scalar]) -> tuple[Scalar, Scalar]:
+    # -1 + 2*c**2 on the deviation e = 1 - c, and Viete's sin 2t = 2 sin t cos t.
+    e, s = pair
+    return 2.0 * e * (2.0 - e), 2.0 * s * (1.0 - e)
+
+
+def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool) -> tuple[Scalar, Scalar]:
+    # The pair (c, s), _double inlined.  NaN and inf persist, so one check
+    # at the end suffices; only then does _doublings name the first step.
+    e, s = seed = _seed(x, cfg, hyperbolic)
     for _ in range(cfg.depth):
-        y = -1.0 + 2.0 * y * y
-    return y if cmath.isfinite(y) else _doublings(seed, cfg)[-1]
+        e, s = 2.0 * e * (2.0 - e), 2.0 * s * (1.0 - e)
+    if not (cmath.isfinite(e) and cmath.isfinite(s)):
+        _doublings(seed, cfg)
+    return 1.0 - e, s
 
 
-def _doublings(seed: Scalar, cfg: EvalConfig) -> list[Scalar]:
-    ys = _trace(seed, double_angle_step, cfg.depth)
-    if not cmath.isfinite(ys[-1]):
+def _doublings(seed: tuple[Scalar, Scalar], cfg: EvalConfig) -> list[Scalar]:
+    pairs = _trace(seed, _double, cfg.depth)
+    finite = [cmath.isfinite(e) and cmath.isfinite(s) for e, s in pairs]
+    if not finite[-1]:
         # Entry m follows doubling step m; a NaN seed fails at step 1.
-        step = list(map(cmath.isfinite, ys)).index(False, 1)
-        raise OverflowError(
-            f"iterate is not finite after doubling step {step} of {cfg.depth}")
-    return ys
+        raise OverflowError(f"iterate is not finite after doubling step "
+                            f"{finite.index(False, 1)} of {cfg.depth}")
+    return [1.0 - e for e, _ in pairs]
 
 
 def nested_cos(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
@@ -208,22 +220,22 @@ def nested_cos(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     when an iterate overflows (large |x| at small depth): each doubling
     step roughly squares a deviation that escapes the unit interval.
     """
-    return _forward(x, cfg, hyperbolic=False)
+    return _forward(x, cfg, False)[0]
 
 
 def nested_cosh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     """Approximate cosh(x) with the all-positive seed; otherwise as nested_cos."""
-    return _forward(x, cfg, hyperbolic=True)
+    return _forward(x, cfg, True)[0]
 
 
 def nested_cos_sequence(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Scalar]:
     """All forward iterates [seed, ..., value]; the last entry is nested_cos."""
-    return _doublings(cos_seed(x, cfg), cfg)
+    return _doublings(_seed(x, cfg, False), cfg)
 
 
 def nested_cosh_sequence(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Scalar]:
     """Hyperbolic counterpart of nested_cos_sequence."""
-    return _doublings(cosh_seed(x, cfg), cfg)
+    return _doublings(_seed(x, cfg, True), cfg)
 
 
 def acos_outer(y: Scalar) -> Scalar:

@@ -1,17 +1,17 @@
 """Odd functions, logarithm, and exponential built on the even kernels.
 
-Everything here reduces to nested_cos / nested_cosh / nested_acos /
-nested_acosh through square-root identities.  The square roots forget
-signs, so for real input the sign is restored from a period-reduced
-argument (circular case) or from the argument itself (hyperbolic case);
-complex input gets the principal root unmodified.
+The forward functions read the doubling pair (c, s) of core._forward, s
+doubled beside c by Viete's sin 2t = 2 sin t cos t: sin and sinh are s,
+tan and tanh s/c, exp c + s; s is odd and entire, so no sign is restored.
+The inverses reduce to nested_acos / nested_acosh through square roots,
+which forget signs: real input gets its sign back, complex input does not.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
+from . import core
 from .core import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -22,8 +22,6 @@ from .core import (
     _trace,
     nested_acos,
     nested_acosh,
-    nested_cos,
-    nested_cosh,
     principal_sqrt,
 )
 
@@ -44,35 +42,23 @@ __all__ = [
 
 
 def _odd(v: Scalar, z: Scalar) -> Scalar:
-    # The square roots lose the sign of real z; an odd function gets it back.
+    # The square roots lose the sign of real z; an odd inverse gets it back.
     if _is_real(z) and _real(z) < 0.0:
         return -v
     return v
 
 
 def nested_sin(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
-    """Approximate sin(x) as the principal root of 1 - nested_cos(x)**2.
-
-    For real x the sign comes from the period-reduced argument
-    x - 2*pi*round(x/(2*pi)), which is positive exactly where sin is.
-    """
-    c = nested_cos(x, cfg)
-    s = principal_sqrt(1.0 - c * c)
-    if _is_real(x) and math.remainder(_real(x), math.tau) < 0.0:
-        return -s
-    return s
+    """Approximate sin(x): the sine doubled beside nested_cos(x), odd in x."""
+    return core._forward(x, cfg, False)[1]
 
 
 def nested_tan(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
-    """Approximate tan(x) as the principal root of nested_cos(x)**-2 - 1.
-
-    Sign restored from x - pi*round(x/pi) for real x.
-    """
-    c = nested_cos(x, cfg)
-    t = principal_sqrt(1.0 / (c * c) - 1.0)
-    if _is_real(x) and math.remainder(_real(x), math.pi) < 0.0:
-        return -t
-    return t
+    """nested_sin / nested_cos from one chain; raises where the cosine is 0."""
+    c, s = core._forward(x, cfg, False)
+    if c == 0:
+        raise ZeroDivisionError("the nested cosine is zero; tangent pole")
+    return s / c
 
 
 def _square(y: Scalar, name: str) -> Scalar:
@@ -108,15 +94,16 @@ def nested_atan(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scal
 
 
 def nested_sinh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
-    """Principal root of nested_cosh(x)**2 - 1, with the sign of real x."""
-    c = nested_cosh(x, cfg)
-    return _odd(principal_sqrt(c * c - 1.0), x)
+    """The sine doubled beside nested_cosh(x); its square is cosh**2 - 1."""
+    return core._forward(x, cfg, True)[1]
 
 
 def nested_tanh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
-    """Principal root of 1 - nested_cosh(x)**-2, with the sign of real x."""
-    c = nested_cosh(x, cfg)
-    return _odd(principal_sqrt(1.0 - 1.0 / (c * c)), x)
+    """nested_sinh / nested_cosh from one chain; raises where cosh is 0."""
+    c, s = core._forward(x, cfg, True)
+    if c == 0:
+        raise ZeroDivisionError("the nested cosh is zero; hyperbolic tangent pole")
+    return s / c
 
 
 def nested_asinh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
@@ -162,9 +149,9 @@ def nested_log(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scala
 
 
 def nested_exp(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
-    """exp(x) as nested_cosh(x) + nested_sinh(x), from one cosh chain."""
-    c = nested_cosh(x, cfg)
-    return c + _odd(principal_sqrt(c * c - 1.0), x)
+    """exp(x) as nested_cosh(x) + nested_sinh(x), from one chain."""
+    c, s = core._forward(x, cfg, True)
+    return c + s
 
 
 def exp_limit(x: Scalar, n: int) -> Scalar:

@@ -7,8 +7,9 @@ they guard.  Criteria the implementation cannot honestly meet fail
 loudly here instead of being weakened; README.md catalogs those known
 failures and their causes.  Two further tests, outside the criteria,
 run when mpmath is installed: one recomputes the pins of criteria 1 and
-4 from the nested formula at 60 digits, the other checks the acosh
-branch oracle against the same formula.
+4, and criterion 2's last cosine-chain entries, from the nested formula
+at 60 digits, the other checks the acosh branch oracle against the
+same formula.
 """
 
 import contextlib
@@ -125,8 +126,8 @@ SEQUENCES = [
      lambda: nested_cos_sequence(math.pi / 3, EvalConfig(10, 2)),
      [0.999999477089543, 0.999997908358718, 0.999991633443621,
       0.999966533914483, 0.999866137897891, 0.999464587429687,
-      0.997858923051989, 0.991444860628951, 0.965925823335118,
-      0.866025392371252, 0.499999960463562]),
+      0.997858923051989, 0.991444860628951, 0.965925823336425,
+      0.866025392376301, 0.499999960481051]),
     ("cos chain, pi/3, depth 4, order 4",
      lambda: nested_cos_sequence(math.pi / 3, EvalConfig(4, 4)),
      [0.997858923238595, 0.991444861373777, 0.965925826288936,
@@ -561,9 +562,20 @@ def _mp_tower(mpmath, y, depth, k, hyperbolic):
                                     else 2 * (1 - y))
 
 
+def _mp_chain(mpmath, x, depth, order):
+    # The forward formula at 60 digits: the even series of order terms at
+    # x/2**depth, then depth literal steps -1 + 2*y**2.
+    t = mpmath.mpf(x) / 2 ** depth
+    ys = [sum((-t * t) ** j / mpmath.factorial(2 * j) for j in range(order))]
+    for _ in range(depth):
+        ys.append(2 * ys[-1] ** 2 - 1)
+    return ys
+
+
 def test_pins_are_same_depth_formula_values():
-    # Not a criterion: it checks that the pins of criteria 1 and 4 are the
-    # values of the nested formula at the depth each criterion evaluates.
+    # Not a criterion: it checks that the pins of criteria 1 and 4, and the
+    # last three chain entries of criterion 2, are the values of the nested
+    # formula at the depth each criterion evaluates.
     mpmath = pytest.importorskip("mpmath")
 
     def tower(y, depth, k, hyperbolic):
@@ -582,6 +594,10 @@ def test_pins_are_same_depth_formula_values():
                           tower(1, 25, k, False) / mpmath.pi))
             cases.append((f"table 2, k={k} at -1", TABLE2_MINUS[k],
                           tower(-1, 25, k, False) / mpmath.pi))
+        label, _, pins = SEQUENCES[1]
+        chain = _mp_chain(mpmath, math.pi / 3, 10, 2)
+        for i in (8, 9, 10):
+            cases.append((f"{label}, entry {i}", pins[i], chain[i]))
         failures = []
         for label, pin, exact in cases:
             dev = abs(pin - exact) if exact == 0 else abs(pin - exact) / abs(exact)

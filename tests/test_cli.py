@@ -124,10 +124,10 @@ def test_eval_forward_with_options():
                             "--depth", "4", "--seed-order", "4"])
     assert code == 0
     assert out == (
-        "value 0.499999999998225\n"
+        "value 0.499999999998231\n"
         "oracle 0.5\n"
-        "abs_error 1.77557968328301e-12\n"
-        "rel_error 1.77557968328301e-12\n"
+        "abs_error 1.76925141204265e-12\n"
+        "rel_error 1.76925141204265e-12\n"
     )
 
 
@@ -200,9 +200,9 @@ def test_converge_csv():
     assert code == 0
     assert out == (
         "depth,value,abs_error,error_ratio\n"
-        "4,0.499838043607131,0.000161956392868867,0\n"
-        "5,0.499959527179158,4.04728208421856e-05,4.00160872157586\n"
-        "6,0.499989882811438,1.0117188561698e-05,4.00040194915504\n"
+        "4,0.499838043607129,0.000161956392870977,0\n"
+        "5,0.499959527179173,4.04728208274197e-05,4.00160872308791\n"
+        "6,0.499989882811501,1.01171884990814e-05,4.00040197245455\n"
     )
 
 

@@ -85,7 +85,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 33
+    assert parsed == 34
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

@@ -34,6 +34,7 @@ from nestrad import (
     nested_cosh,
     nested_cosh_sequence,
     nested_log,
+    nested_sin,
     principal_sqrt,
 )
 from nestrad import branches, core
@@ -171,8 +172,8 @@ SEQ_THIRD_D4_O2 = [
 SEQ_THIRD_D10_O2 = [
     0.999999477089543, 0.999997908358718, 0.999991633443621,
     0.999966533914483, 0.999866137897891, 0.999464587429687,
-    0.997858923051989, 0.991444860628951, 0.965925823335118,
-    0.866025392371252, 0.499999960463562,
+    0.997858923051989, 0.991444860628951, 0.965925823336425,
+    0.866025392376301, 0.499999960481051,
 ]
 SEQ_THIRD_D4_O4 = [
     0.997858923238595, 0.991444861373777, 0.965925826288936,
@@ -342,8 +343,7 @@ def test_deep_tower_precision_collapse():
     assert abs(v - math.pi / 2) > 5e-3
     # Not only small angles collapse, and not only past the cap (DEPTH_CAP
     # comment): depth n returns exactly 0.0 for acos(y) < 2**n * sqrt(eps/3)
-    # and for acosh(y) of real y > 1 below twice that, and nested_cos
-    # returns exactly 1.0 for |x| < 2**n * sqrt(eps/2).  Rows on each side.
+    # and for acosh(y) of real y > 1 below twice that.  Rows on each side.
     r = math.sqrt(EPS / 3)
     zero = [nested_acos(0.0, 28), nested_acos(-1.0, 29),
             nested_acosh(2.0, 27), nested_acosh(2.0, 30),
@@ -357,12 +357,28 @@ def test_deep_tower_precision_collapse():
             nested_acos(math.cos(1.01 * 2 ** 20 * r), 20),
             nested_acosh(math.cosh(1.01 * 2 ** 21 * r), 20)]
     assert zero == [0.0] * len(zero) and 0.0 not in kept
+    # The forward chain carries e = 1 - c, which is x**2/2 for tiny x at
+    # every depth, so nested_cos is exactly 1.0 only where that rounds
+    # below eps/4, |x| < sqrt(eps/2); past the cap also where the seed's
+    # e = (x/2**n)**2/2 underflows, from depth 537 at x = 1.
     s = math.sqrt(EPS / 2)
-    one = [nested_cos(1.0, EvalConfig(27)), nested_cos(11.0, EvalConfig(30)),
-           nested_cos(0.99 * 2 ** 20 * s, EvalConfig(20, 4))]
-    moved = [nested_cos(1.0, EvalConfig(26)), nested_cos(12.0, EvalConfig(30)),
-             nested_cos(1.01 * 2 ** 20 * s, EvalConfig(20, 4))]
+    cfgs = [EvalConfig(1), EvalConfig(30), EvalConfig(20, 4)]
+    one = [nested_cos(0.99 * s, cfg) for cfg in cfgs] + [
+        nested_cos(1.0, EvalConfig(537, allow_deep=True))]
+    moved = [nested_cos(1.01 * s, cfg) for cfg in cfgs] + [
+        nested_cos(1.0, EvalConfig(536, allow_deep=True)),
+        nested_cos(1.0, EvalConfig(30)), nested_cos(11.0, EvalConfig(30))]
     assert one == [1.0] * len(one) and 1.0 not in moved
+    assert math.cos(0.99 * s) == 1.0 != math.cos(1.01 * s)
+
+
+def test_forward_chain_keeps_its_digits_past_the_cap():
+    # EvalConfig's allow_deep claim: the deviation chain's roundoff does
+    # not grow with depth, so the cap guards nothing on the forward side.
+    for depth in (DEPTH_CAP, 100, 500):
+        cfg = EvalConfig(depth, 2, allow_deep=True)
+        assert abs(nested_cos(1.0, cfg) - math.cos(1.0)) <= 2 * EPS
+        assert abs(nested_sin(1.0, cfg) - math.sin(1.0)) <= 2 * EPS
 
 
 def test_acos_of_zero_roundoff_overtakes_truncation():
@@ -447,15 +463,24 @@ def test_inverse_sequence_shapes():
 @pytest.mark.parametrize("x", [0.0, 1.0, -2.5, math.pi / 3, 0.3 + 0.4j, 2j,
                                -1.5 - 2.0j])
 def test_forward_sequences_are_the_recorded_chain(x, cfg):
-    # Each entry is the public doubling step of the one before, and the last
+    # Entry 0 is the seed and each later entry 1 - e of the deviation e
+    # doubled as e' = 2e(2 - e), both written out here from the even
+    # series (the one-term seed is the float 1.0 for every x), and the last
     # is the scalar entry, all by repr, so no second chain can drift apart.
     for seq, seed, scalar in ((nested_cos_sequence, cos_seed, nested_cos),
                               (nested_cosh_sequence, cosh_seed, nested_cosh)):
         ys = seq(x, cfg)
         assert len(ys) == cfg.depth + 1
-        assert repr(ys[0]) == repr(seed(x, cfg))
-        for prev, y in zip(ys, ys[1:]):
-            assert repr(y) == repr(double_angle_step(prev))
+        t = x / 2.0 ** cfg.depth
+        u = t * t if seq is nested_cosh_sequence else -(t * t)
+        q = 0.0
+        for f in (1 / 720, 1 / 24, 0.5)[4 - cfg.seed_order:]:
+            q = q * u + f
+        e = -u * q if cfg.seed_order > 1 else 0.0
+        assert repr(ys[0]) == repr(seed(x, cfg)) == repr(1.0 - e)
+        for y in ys[1:]:
+            e = 2.0 * e * (2.0 - e)
+            assert repr(y) == repr(1.0 - e)
         assert repr(ys[-1]) == repr(scalar(x, cfg))
 
 

@@ -9,6 +9,7 @@ import pytest
 from nestrad import (
     DEFAULT_CONFIG,
     EvalConfig,
+    double_angle_step,
     exp_limit,
     log_limit,
     nested_acos,
@@ -18,6 +19,7 @@ from nestrad import (
     nested_atan,
     nested_atanh,
     nested_cos,
+    nested_cos_sequence,
     nested_cosh,
     nested_exp,
     nested_log,
@@ -40,8 +42,8 @@ def test_sin_known_values():
 
 
 def test_sin_odd_exact():
-    # The cosine chain is bitwise even, so negation only flips the
-    # restored sign.
+    # The sine seed is x/2**n times an even radical and each doubling
+    # multiplies it by the even cosine, so negation only flips its sign.
     assert nested_sin(-math.pi / 6, ORDER4) == -nested_sin(math.pi / 6, ORDER4)
 
 
@@ -75,23 +77,44 @@ def test_tan_matches_quotient():
 
 
 def test_tan_cosine_is_never_exactly_zero():
-    # nested_tan divides by c*c, where nested_cos ends with
-    # c = -1 + 2*y*y; no float y next to +-1/sqrt(2) makes 2*y*y exactly 1.
+    # The literal step -1 + 2*y*y never lands on 0.0 next to +-1/sqrt(2):
+    # no float y there makes 2*y*y exactly 1.  The chain's last step is
+    # 1 - e on the deviation instead, which is 0.0 wherever e rounds to 1,
+    # so nested_tan can meet an exact zero cosine (the pole test below).
     for root in (math.sqrt(0.5), -math.sqrt(0.5)):
         y = root
         for _ in range(64):
             y = math.nextafter(y, -math.inf)
         for _ in range(129):
-            assert -1.0 + 2.0 * y * y != 0.0, y
+            assert double_angle_step(y) != 0.0, y
             y = math.nextafter(y, math.inf)
 
 
 def test_tan_is_finite_next_to_its_pole():
+    # The quotient is finite wherever the chain's cosine is nonzero.  At
+    # float +-pi/2 from depth 26 on the chain ends on c == 0.0 exactly,
+    # and nested_tan names the pole there.
     h = math.pi / 2
     xs = [h, math.nextafter(h, 0.0), math.nextafter(h, 2.0), -h]
+    poles = []
     for depth in range(1, 31):
+        cfg = EvalConfig(depth)
         for x in xs:
-            assert math.isfinite(nested_tan(x, EvalConfig(depth))), (x, depth)
+            if nested_cos(x, cfg) == 0.0:
+                poles.append((depth, x))
+                with pytest.raises(ZeroDivisionError, match="tangent pole"):
+                    nested_tan(x, cfg)
+            else:
+                assert math.isfinite(nested_tan(x, cfg)), (x, depth)
+    assert poles == [(d, x) for d in range(26, 31) for x in (h, -h)]
+
+
+@pytest.mark.parametrize("depth", [26, 30])
+def test_tanh_names_its_pole_on_the_imaginary_axis(depth):
+    z = complex(0.0, math.pi / 2)
+    assert nested_cosh(z, EvalConfig(depth)) == 0.0
+    with pytest.raises(ZeroDivisionError, match="hyperbolic tangent pole"):
+        nested_tanh(z, EvalConfig(depth))
 
 
 def test_asin_complements_acos():
@@ -313,6 +336,37 @@ def test_error_decreases_with_depth(name, fn, oracle, grid):
     assert e6 > e8 > e10
 
 
+FORWARD_ORACLES = [(nested_sin, cmath.sin), (nested_tan, cmath.tan),
+                   (nested_sinh, cmath.sinh), (nested_tanh, cmath.tanh),
+                   (nested_exp, cmath.exp)]
+
+
+@pytest.mark.parametrize("fn,ref", FORWARD_ORACLES,
+                         ids=[f.__name__ for f, _ in FORWARD_ORACLES])
+def test_forward_functions_follow_cmath_off_the_real_axis(fn, ref):
+    # Off the real axis there is no sign to restore: the doubled sine is
+    # analytic, so depth-10 truncation (about 3e-6 here) is the whole error.
+    cfg = EvalConfig(10, 2)
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if b:
+                z = complex(a / 4, b / 4)
+                want = ref(z)
+                assert abs(fn(z, cfg) - want) <= 1e-5 * max(abs(want), 1.0), z
+
+
+@pytest.mark.parametrize("depth", [10, 25])
+@pytest.mark.parametrize("x", [1e-8, 1e-5])
+@pytest.mark.parametrize("fn,ref", [(nested_sin, math.sin), (nested_sinh, math.sinh),
+                                    (nested_tan, math.tan), (nested_tanh, math.tanh)],
+                         ids=["sin", "sinh", "tan", "tanh"])
+def test_odd_forward_functions_keep_small_arguments(fn, ref, x, depth):
+    # The sine seed is x/2**n times a radical near 1, and doubling scales
+    # it by powers of two and cosines near 1, so no digit cancels.
+    want = ref(x)
+    assert abs(fn(x, EvalConfig(depth)) - want) <= 4 * EPS * abs(want)
+
+
 @pytest.mark.parametrize("depth", [1, 2, 10, 30])
 def test_seed_order_one_makes_forward_functions_constant(depth):
     # The one-term seed is 1.0, a fixed point of -1 + 2*y**2, for every x.
@@ -322,3 +376,15 @@ def test_seed_order_one_makes_forward_functions_constant(depth):
             assert f(x, cfg) == 1.0, (f.__name__, x)
         for f in (nested_sin, nested_sinh, nested_tan, nested_tanh):
             assert f(x, cfg) == 0.0, (f.__name__, x)
+
+
+@pytest.mark.parametrize("x", [1e300, -1e300 + 1j, 1e300j, math.inf])
+def test_seed_order_one_is_constant_where_the_reduced_argument_overflows(x):
+    # t*t overflows at |x|/2**depth above about 1.3e154, and t itself at
+    # inf; the one-term seed must not form inf*0.0 there.
+    cfg = EvalConfig(1, 1)
+    for f in (nested_cos, nested_cosh, nested_exp):
+        assert f(x, cfg) == 1.0, f.__name__
+    for f in (nested_sin, nested_sinh, nested_tan, nested_tanh):
+        assert f(x, cfg) == 0.0, f.__name__
+    assert nested_cos_sequence(x, cfg) == [1.0, 1.0]

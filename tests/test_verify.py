@@ -330,10 +330,10 @@ def test_registered_function_names():
 def test_converge_known_rows():
     rows = converge("cos", math.pi / 3, list(range(4, 11)))
     assert [r.depth for r in rows] == list(range(4, 11))
-    assert rows[0].abs_error == pytest.approx(1.619563928688672e-04, rel=1e-12)
+    assert rows[0].abs_error == pytest.approx(1.6195639287097663e-04, rel=1e-12)
     assert rows[0].error_ratio == 0.0
-    assert rows[-1].abs_error == pytest.approx(3.9536438234399895e-08, rel=1e-12)
-    assert rows[-1].error_ratio == pytest.approx(3.9981610787085455, rel=1e-12)
+    assert rows[-1].abs_error == pytest.approx(3.951894922415988e-08, rel=1e-12)
+    assert rows[-1].error_ratio == pytest.approx(4.00000155637629, rel=1e-12)
 
 
 def test_converge_zero_error_rows():
