@@ -69,9 +69,9 @@ def gray_adjacent_distance(k: int, width: int) -> int:
     return (_gray(k) ^ _gray(k + 1)).bit_count()
 
 
-def _branch(y: Scalar, k: int, depth: int, allow_deep: bool,
+def _branch(y: Scalar, k: int, depth: int,
             outer: Callable[[Scalar], Scalar]) -> Scalar:
-    check_depth(depth, allow_deep=allow_deep)
+    check_depth(depth)
     half = 2 ** (depth - 1)
     if not _is_int(k) or not -half <= k < half:
         raise _index_error(k, f"depth {depth}", f"{-half} <= k < {half}")
@@ -80,21 +80,19 @@ def _branch(y: Scalar, k: int, depth: int, allow_deep: bool,
     return _tower(y, depth, _gray(k), outer)
 
 
-def nested_acos_branch(y: Scalar, k: int, depth: int = 10, *,
-                       allow_deep: bool = False) -> Scalar:
+def nested_acos_branch(y: Scalar, k: int, depth: int = 10) -> Scalar:
     """Branch k of the inverse cosine from the signed radical tower.
 
     k = 0 reproduces nested_acos.  Negative k mirrors through zero:
     branch -k of a value is minus branch k - 1, covering the branches
     below the principal one, so -2**(depth-1) <= k < 2**(depth-1).
     """
-    return _branch(y, k, depth, allow_deep, acos_outer)
+    return _branch(y, k, depth, acos_outer)
 
 
-def nested_acosh_branch(y: Scalar, k: int, depth: int = 10, *,
-                        allow_deep: bool = False) -> Scalar:
+def nested_acosh_branch(y: Scalar, k: int, depth: int = 10) -> Scalar:
     """Branch k of the inverse hyperbolic cosine; mirrors nested_acos_branch."""
-    return _branch(y, k, depth, allow_deep, acosh_outer)
+    return _branch(y, k, depth, acosh_outer)
 
 
 def extract_branch(x: Scalar) -> float:

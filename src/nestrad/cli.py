@@ -95,14 +95,14 @@ def _parse_depths(text: str) -> list[int]:
     lo, hi = int(m[1]), int(m[2] or m[1])
     if hi < lo:
         raise ValueError(f"empty depth range {text!r}")
-    # converge stops at the first depth past DEPTH_MAX; so does the range.
+    # converge rejects every depth past DEPTH_MAX; the range stops at the first.
     return list(range(lo, min(hi, max(lo, DEPTH_MAX + 1)) + 1))
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
     z = parse_scalar(args.arg)
     r = eval_report(args.fn, z, depth=args.depth, seed_order=args.seed_order,
-                    branch=args.branch, allow_deep=args.allow_deep)
+                    branch=args.branch)
     if args.as_json:
         print(json.dumps({
             "input": fmt_scalar(r.input),
@@ -123,8 +123,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
 def _cmd_converge(args: argparse.Namespace) -> None:
     z = parse_scalar(args.arg)
-    rows = converge(args.fn, z, _parse_depths(args.depths),
-                    seed_order=args.seed_order, allow_deep=args.allow_deep)
+    rows = converge(args.fn, z, _parse_depths(args.depths), args.seed_order)
     print("depth,value,abs_error,error_ratio")
     for row in rows:
         print(f"{row.depth},{fmt_scalar(row.value)},"
@@ -137,7 +136,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     # One format and one print per batch of 4096 rows.  "%.15g" is fmt_real
     # here: it differs only on -0.0 and next to the float maximum, which
     # neither column can hold, since abs() never returns -0.0, x - 0.5 is
-    # never -0.0 under round-to-nearest, and both stay below 2**DEPTH_CAP.
+    # never -0.0 under round-to-nearest, and both stay below 4.5e307: with
+    # the top Gray bit clear a closing value is at most 2**DEPTH_MAX *
+    # sqrt(2), so extracted < 4.1e307, and k < 2**(DEPTH_MAX - 1).
     while fields := tuple(chain.from_iterable(islice(rows, 4096))):
         print(("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields, end="")
 
@@ -207,10 +208,6 @@ def _args_eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("fn", choices=sorted(FUNCTIONS))
     p.add_argument("arg", help="argument: a, ai, a+bi, a-bi")
     _add_depth(p)
-    p.add_argument("--allow-deep", action="store_true",
-                   help="lift the depth cap of 30: past it, small angles lose "
-                        "digits to roundoff, while large |x| and large "
-                        "branches can still gain them")
     p.add_argument("--seed-order", type=int, default=2, dest="seed_order",
                    help="series terms in the seed, 1..4 (default 2)")
     p.add_argument("--branch", type=int, default=0,
@@ -225,7 +222,6 @@ def _args_converge(p: argparse.ArgumentParser) -> None:
     p.add_argument("arg")
     p.add_argument("--depths", required=True, help="range A..B or single depth")
     p.add_argument("--seed-order", type=int, default=2, dest="seed_order")
-    p.add_argument("--allow-deep", action="store_true")
 
 
 def _args_sweep(p: argparse.ArgumentParser) -> None:

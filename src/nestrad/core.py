@@ -17,7 +17,6 @@ from operator import or_
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
-    "DEPTH_CAP",
     "DEPTH_MAX",
     "EvalConfig",
     "DEFAULT_CONFIG",
@@ -42,26 +41,7 @@ __all__ = [
 
 Scalar = float | complex
 
-#: The cap is a guard, not the depth where accuracy runs out; that depends
-#: on the angle.  Small angles are limited by roundoff, well below the cap:
-#: the 2**n prefactor of the inverse chain amplifies the quantization of
-#: iterates pinned against 1.0 faster than the 4**-n truncation term
-#: shrinks, so for nested_acos(0) roundoff overtakes truncation between
-#: depths 12 and 14 and the error is 1e-2 at depth 24.  A radical rounds
-#: an iterate within eps/2 below 1.0, or 2*eps above, to 1.0, and each
-#: earlier one widens that window 4x plus as much again (y + 1 rounds to
-#: the grid); scaled to the last iterate it tends to eps/6 and 2*eps/3.
-#: So the tower returns 0.0 for acos(y) < 2**n * sqrt(eps/3) and for real
-#: y > 1 with acosh(y) < 2**(n+1) * sqrt(eps/3).  The forward chain
-#: carries e = 1 - cos, exactly fl(x**2)/2 for tiny x at any depth and
-#: seed order > 1 (a step is 4e while 2 - e rounds to 2): nested_cos is
-#: 1.0 only for |x| < sqrt(eps/2), as math.cos is, or past the cap where
-#: the seed's (x/2**n)**2/2 underflows.  Large branches and large |x| are
-#: limited by truncation and gain digits past the cap: nested_acos_branch
-#: (0, 10**6) is 3.6e-7 relative off at depth 30 and 5.9e-9 at 33,
-#: nested_cos(1e6) 1.2e-2 and 2.0e-4 absolute; k >= 2**29 needs the lift.
-DEPTH_CAP = 30
-DEPTH_MAX = 1023  #: allow_deep's bound: 2**depth must stay a float
+DEPTH_MAX = 1023  #: the depth bound: 2.0**depth and 2**depth must stay floats
 
 _SEED_Q = ((0.5,), (1 / 24, 0.5), (1 / 720, 1 / 24, 0.5))  # q's Horner terms, orders 2..4
 
@@ -81,42 +61,34 @@ def _real(z: Scalar) -> float:
     return z.real if isinstance(z, complex) else float(z)
 
 
-def check_depth(depth: int, *, allow_deep: bool = False) -> None:
-    """Validate a recursion depth against the precision guard.
+def check_depth(depth: int) -> None:
+    """Validate a recursion depth: an int in 1..DEPTH_MAX.
 
     Any depth that is not an int, a bool included, is rejected like a
-    nonpositive one rather than failing later inside a loop.  allow_deep
-    lifts the cap up to DEPTH_MAX.
+    nonpositive one rather than failing later inside a loop.
     """
     if not _is_int(depth) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth}")
-    if depth > DEPTH_CAP and not allow_deep:
-        raise ValueError(
-            f"depth {depth} exceeds the cap of {DEPTH_CAP}; only entry points "
-            "that take allow_deep can lift it")
     if depth > DEPTH_MAX:
-        raise ValueError(f"depth {depth} exceeds {DEPTH_MAX}, even with "
-                         "allow_deep; 2**depth must stay a float")
+        raise ValueError(f"depth {depth} exceeds {DEPTH_MAX}; 2**depth must "
+                         "stay a float")
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Settings for the forward recursions.
 
-    depth       number of doubling steps, >= 1
+    depth       number of doubling steps, 1..DEPTH_MAX
     seed_order  number of series terms in the seed, 1..4; order 1 is the
                 constant 1.0, which doubling keeps, so every forward value
                 is constant: 1.0 for cos/cosh/exp, a zero for sin/sinh/tan/tanh
-    allow_deep  lift the depth cap up to DEPTH_MAX; the forward chains keep
-                their digits past it, and large |x| gains some (see DEPTH_CAP)
     """
 
     depth: int = 10
     seed_order: int = 2
-    allow_deep: bool = False
 
     def __post_init__(self) -> None:
-        check_depth(self.depth, allow_deep=self.allow_deep)
+        check_depth(self.depth)
         if not _is_int(self.seed_order) or self.seed_order not in (1, 2, 3, 4):
             raise ValueError(f"seed_order must be in 1..4, got {self.seed_order}")
 
@@ -338,41 +310,39 @@ def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
     return [scale * sqrt(2.0 * (1.0 - v)) for v in lanes]
 
 
-def nested_acos(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
+def nested_acos(y: Scalar, depth: int = 10) -> Scalar:
     """Principal inverse cosine as a tower of depth half-angle radicals.
 
     Real y in [-1, 1] gives a nonnegative float, off acos(y) by up to the
     truncation acos(y)**3 / (24 * 4**depth) plus roundoff of about
-    2**depth * sqrt(eps).  Roundoff rules at large depths (see DEPTH_CAP):
-    the value can leave [0, pi], and it is 0.0 once acos(y) < 2**depth *
-    sqrt(eps/3), or for real y > 1 once acosh(y) < 2**(depth+1) *
-    sqrt(eps/3).  Other input follows the principal sheet of each square
-    root, so e.g. y > 1 is a positive multiple of 1j.
+    2**depth * sqrt(eps).  Roundoff rules at large depths: the value can
+    leave [0, pi], and it is 0.0 once acos(y) < 2**depth * sqrt(eps/3),
+    or for real y > 1 once acosh(y) < 2**(depth+1) * sqrt(eps/3).  Other
+    input follows the principal sheet of each square root, so e.g. y > 1
+    is a positive multiple of 1j.
     """
-    check_depth(depth, allow_deep=allow_deep)
+    check_depth(depth)
     return _tower(y, depth, 0, acos_outer)
 
 
-def nested_acosh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
+def nested_acosh(y: Scalar, depth: int = 10) -> Scalar:
     """Principal inverse hyperbolic cosine from the same radical tower."""
-    check_depth(depth, allow_deep=allow_deep)
+    check_depth(depth)
     return _tower(y, depth, 0, acosh_outer)
 
 
-def nested_acos_sequence(y: Scalar, depth: int = 10, *,
-                         allow_deep: bool = False) -> list[Scalar]:
+def nested_acos_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
     """Inverse iterates followed by the scaled closing value.
 
     Returns depth + 1 entries; the last one equals nested_acos(y, depth).
     """
-    check_depth(depth, allow_deep=allow_deep)
+    check_depth(depth)
     ys = _trace(y, half_angle_step, depth)[1:]
     return ys + [(2.0 ** depth) * acos_outer(ys[-1])]
 
 
-def nested_acosh_sequence(y: Scalar, depth: int = 10, *,
-                          allow_deep: bool = False) -> list[Scalar]:
+def nested_acosh_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
     """Hyperbolic counterpart of nested_acos_sequence."""
-    check_depth(depth, allow_deep=allow_deep)
+    check_depth(depth)
     ys = _trace(y, half_angle_step, depth)[1:]
     return ys + [(2.0 ** depth) * acosh_outer(ys[-1])]

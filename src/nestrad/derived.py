@@ -71,17 +71,16 @@ def _square(y: Scalar, name: str) -> Scalar:
     return s
 
 
-def nested_asin(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
+def nested_asin(y: Scalar, depth: int = 10) -> Scalar:
     """nested_acos of the principal root of 1 - y**2.
 
     Returns the magnitude branch: real y and -y give the same value.
     Raises OverflowError where y**2 overflows.
     """
-    return nested_acos(principal_sqrt(1.0 - _square(y, "arcsine")), depth,
-                       allow_deep=allow_deep)
+    return nested_acos(principal_sqrt(1.0 - _square(y, "arcsine")), depth)
 
 
-def nested_atan(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
+def nested_atan(y: Scalar, depth: int = 10) -> Scalar:
     """nested_acos of 1/sqrt(1 + y**2), negated for real y < 0.
 
     Raises ZeroDivisionError at y = +-1j where 1 + y**2 vanishes.
@@ -89,7 +88,7 @@ def nested_atan(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scal
     d = 1.0 + y * y
     if d == 0:
         raise ZeroDivisionError("1 + y**2 is zero; arctangent poles at +-1j")
-    v = nested_acos(1.0 / principal_sqrt(d), depth, allow_deep=allow_deep)
+    v = nested_acos(1.0 / principal_sqrt(d), depth)
     return _odd(v, y)
 
 
@@ -106,17 +105,17 @@ def nested_tanh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     return s / c
 
 
-def nested_asinh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
+def nested_asinh(y: Scalar, depth: int = 10) -> Scalar:
     """nested_acosh of sqrt(1 + y**2), with the sign of real y.
 
     Raises OverflowError where y**2 overflows.
     """
     v = nested_acosh(principal_sqrt(1.0 + _square(y, "inverse hyperbolic sine")),
-                     depth, allow_deep=allow_deep)
+                     depth)
     return _odd(v, y)
 
 
-def nested_atanh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
+def nested_atanh(y: Scalar, depth: int = 10) -> Scalar:
     """nested_acosh of 1/sqrt(1 - y**2), with the sign of real y.
 
     Raises ZeroDivisionError at the poles y = +-1.
@@ -124,11 +123,11 @@ def nested_atanh(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Sca
     d = 1.0 - y * y
     if d == 0:
         raise ZeroDivisionError("y is +-1; inverse hyperbolic tangent pole")
-    v = nested_acosh(1.0 / principal_sqrt(d), depth, allow_deep=allow_deep)
+    v = nested_acosh(1.0 / principal_sqrt(d), depth)
     return _odd(v, y)
 
 
-def nested_log(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scalar:
+def nested_log(y: Scalar, depth: int = 10) -> Scalar:
     """Logarithm via nested_acosh of the symmetric mean (y + 1/y)/2.
 
     The mean collapses y and 1/y, so the principal inverse returns
@@ -142,7 +141,7 @@ def nested_log(y: Scalar, depth: int = 10, *, allow_deep: bool = False) -> Scala
         raise OverflowError(
             f"1/y overflows at y = {y!r}; the logarithm's symmetric mean "
             "needs a finite reciprocal")
-    v = nested_acosh((y + r) / 2.0, depth, allow_deep=allow_deep)
+    v = nested_acosh((y + r) / 2.0, depth)
     if _is_real(y) and 0.0 < _real(y) < 1.0:
         return -v
     return v

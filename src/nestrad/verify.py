@@ -194,7 +194,7 @@ def _std_oracle(real_fn: Callable[[float], float],
 class FunctionSpec:
     """A nested evaluator paired with its reference oracle."""
 
-    evaluate: Callable[..., Scalar]  # (z, depth, seed_order, branch, allow_deep)
+    evaluate: Callable[..., Scalar]  # (z, depth, seed_order, branch)
     oracle: Callable[..., Scalar]    # (z, branch)
 
 
@@ -220,21 +220,21 @@ def _spec(fn: Callable[..., Scalar], takes: str,
     """
     takes_branch = takes == "branch"
 
-    def evaluate(z, depth, seed_order, branch, allow_deep):
+    def evaluate(z, depth, seed_order, branch):
         if branch != 0 and not takes_branch:
             raise ValueError("branch selection only applies to acos and acosh")
         try:
-            cfg = _config(depth, seed_order, allow_deep)
+            cfg = _config(depth, seed_order)
         except TypeError:
             # An unhashable argument: EvalConfig validates it uncached.
-            cfg = EvalConfig(depth, seed_order, allow_deep)
+            cfg = EvalConfig(depth, seed_order)
         if takes == "config":
             return fn(z, cfg)
         if takes == "limit":
             return fn(z, 2 ** depth)
         if takes_branch:
-            return fn(z, branch, depth, allow_deep=allow_deep)
-        return fn(z, depth, allow_deep=allow_deep)
+            return fn(z, branch, depth)
+        return fn(z, depth)
 
     return FunctionSpec(evaluate, oracle)
 
@@ -270,23 +270,27 @@ def _lookup(name: str) -> FunctionSpec:
 
 
 def eval_report(name: str, z: Scalar, *, depth: int = 10, seed_order: int = 2,
-                branch: int = 0, allow_deep: bool = False) -> EvalReport:
+                branch: int = 0) -> EvalReport:
     """Evaluate one function and compare it against its oracle."""
     spec = _lookup(name)
-    value = spec.evaluate(z, depth, seed_order, branch, allow_deep)
+    value = spec.evaluate(z, depth, seed_order, branch)
     oracle_value = spec.oracle(z, branch)
     return make_report(z, value, oracle_value, depth, seed_order, branch)
 
 
-def converge(name: str, z: Scalar, depths: list[int], seed_order: int = 2,
-             *, allow_deep: bool = False) -> list[ConvergenceRow]:
+def converge(name: str, z: Scalar, depths: list[int],
+             seed_order: int = 2) -> list[ConvergenceRow]:
     """Error against the oracle at each depth, with step-to-step ratios."""
     spec = _lookup(name)
     if not depths:
         raise ValueError("depth range must be nonempty")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError("depths must be strictly increasing")
-    values = [spec.evaluate(z, d, seed_order, 0, allow_deep) for d in depths]
+    # Every depth is checked before any is evaluated, so a bad depth is
+    # named before a bad seed order, as EvalConfig names it.
+    for d in depths:
+        check_depth(d)
+    values = [spec.evaluate(z, d, seed_order, 0) for d in depths]
     oracle_value = spec.oracle(z, 0)
     errors = [abs(v - oracle_value) for v in values]
     ratios = [0.0] + [p / e if e else 0.0 for p, e in zip(errors, errors[1:])]

@@ -231,6 +231,9 @@ def test_sweep_csv():
     # The shallowest sweeps over their trees: k_max < 2**(depth-1) keeps
     # the depth at least one level above the tree.
     (2047, 1, 12), (4095, 1, 13),
+    # The deepest sweep: its closing values reach 2**1023 * sqrt(2) and
+    # "%.15g" must still read as fmt_real.
+    pytest.param(2 ** 1022 - 1, 2 ** 1020, 1023, id="2**1022-1-2**1020-1023"),
 ])
 def test_sweep_text_is_fmt_real_of_the_rows(kmax, step, depth):
     # The sweep shares one Gray tree between its chunks and climbs each
@@ -326,7 +329,8 @@ def test_repeated_invocations_are_byte_identical():
     (["eval", "atanh", "1"], 3, "numeric error"),
     (["eval", "cos", "1e80", "--depth", "1"], 3, "numeric error"),
     (["eval", "cos", "abc"], 2, "could not parse"),
-    (["eval", "acos", "0", "--depth", "31"], 2, "allow"),
+    (["eval", "acos", "0", "--depth", "1024"], 2,
+     "depth 1024 exceeds 1023; 2**depth must stay a float"),
     (["eval", "sin", "1", "--branch", "2"], 2, "branch selection"),
     (["sweep", "--kmax", "600", "--depth", "10"], 2, "k_max"),
     (["converge", "cos", "1", "--depths", "6..4"], 2, "empty depth range"),
@@ -345,8 +349,8 @@ def test_repeated_invocations_are_byte_identical():
     (["table1", "--allow-deep"], 2, "unrecognized arguments: --allow-deep"),
     (["table2", "--depth", "25", "--allow-deep"], 2,
      "unrecognized arguments: --allow-deep"),
-    (["sweep", "--kmax", "3", "--depth", "31"], 2,
-     "only entry points that take allow_deep can lift it"),
+    (["sweep", "--kmax", "3", "--depth", "1024"], 2,
+     "depth 1024 exceeds 1023; 2**depth must stay a float"),
     # At a pole converge names the evaluator's error, as eval does; a bad
     # depth is named before the oracle is consulted.
     (["converge", "log", "0", "--depths", "4..5"], 3, "logarithm of zero"),
@@ -355,6 +359,13 @@ def test_repeated_invocations_are_byte_identical():
     (["converge", "atan", "1i", "--depths", "4..5"], 3, "arctangent poles"),
     (["converge", "log-limit", "0", "--depths", "2..3"], 3, "logarithm of zero"),
     (["converge", "log", "0", "--depths", "0..3"], 2, "positive integer"),
+    # Every depth is checked before the seed order and before any depth
+    # is evaluated.
+    (["converge", "cos", "1", "--depths", "1023..1024", "--seed-order", "9"],
+     2, "depth 1024 exceeds 1023"),
+    (["eval", "cos", "1", "--allow-deep"], 2, "unrecognized arguments"),
+    (["converge", "cos", "1", "--depths", "4", "--allow-deep"], 2,
+     "unrecognized arguments"),
 ])
 def test_exit_codes_and_messages(argv, code, fragment):
     got, out, err = run_cli(argv)
@@ -364,8 +375,8 @@ def test_exit_codes_and_messages(argv, code, fragment):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "acos", "0", "--depth", "31", "--allow-deep"],
-    ["converge", "acos", "0.3", "--depths", "30..31", "--allow-deep"],
+    ["eval", "acos", "0", "--depth", "31"],
+    ["converge", "acos", "0.3", "--depths", "30..31"],
 ])
 def test_allow_deep_lifts_the_cap_where_it_is_read(argv):
     got, out, err = run_cli(argv)
@@ -384,15 +395,14 @@ def test_converge_single_depth():
 def test_depth_range_stops_at_the_first_depth_past_the_bound():
     # converge rejects every depth past 1023, so a longer range is cut at
     # its first such depth: the list stays short and the transcript is the
-    # one of 1..1024, with or without the cap lifted.
+    # one of 1..1024.
     assert len(_parse_depths("1..1000000")) <= 1024
     assert _parse_depths("2000..3000") == [2000]
-    for extra in ([], ["--allow-deep"]):
-        argv = ["converge", "acos", "0.5", *extra, "--depths"]
-        got = run_cli(argv + ["1..1000000"])
-        assert got == run_cli(argv + ["1..1024"])
-        assert got[0] == 2
-        assert f"depth {1024 if extra else 31} exceeds" in got[2]
+    argv = ["converge", "acos", "0.5", "--depths"]
+    got = run_cli(argv + ["1..1000000"])
+    assert got == run_cli(argv + ["1..1024"])
+    assert got[0] == 2
+    assert "depth 1024 exceeds" in got[2]
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

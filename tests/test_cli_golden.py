@@ -8,8 +8,8 @@ argparse's own help, usage and invalid-choice output.  Some pin a rule
 rather than a value: the dispatch boundary (a leftover argument and
 option, a command abbreviation, "--" before and inside a command, a
 missing option value and help after arguments); depth checked before
-seed order, for every function, and allow_deep stopping at depth 1023;
-and converge at a pole reporting the evaluator's error, as eval does.
+seed order, for every function, and the one depth bound of 1023; and
+converge at a pole reporting the evaluator's error, as eval does.
 
 To pin a new call, append {"argv": [...]} to the file and re-record every
 record from its own argv; do so only when a change to the output is
@@ -85,7 +85,7 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
             transcript(argv)
         assert built == [f"nestrad {argv[0]}"], argv
         parsed += 1
-    assert parsed == 34
+    assert parsed == 35
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the

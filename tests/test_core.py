@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 from nestrad import (
     DEFAULT_CONFIG,
-    DEPTH_CAP,
+    DEPTH_MAX,
     EvalConfig,
     acos_outer,
     acosh_outer,
@@ -48,7 +49,6 @@ EPS = sys.float_info.epsilon
 def test_default_config():
     assert DEFAULT_CONFIG.depth == 10
     assert DEFAULT_CONFIG.seed_order == 2
-    assert DEFAULT_CONFIG.allow_deep is False
 
 
 def test_config_rejects_nonpositive_depth():
@@ -58,13 +58,13 @@ def test_config_rejects_nonpositive_depth():
 
 
 def test_config_rejects_depth_beyond_cap():
-    with pytest.raises(ValueError, match="allow_deep"):
-        EvalConfig(DEPTH_CAP + 1, 2)
+    with pytest.raises(ValueError, match="2\\*\\*depth must stay a float"):
+        EvalConfig(DEPTH_MAX + 1, 2)
 
 
-def test_config_allow_deep_lifts_cap():
-    cfg = EvalConfig(DEPTH_CAP + 1, 2, allow_deep=True)
-    assert nested_cos(0.0, cfg) == 1.0
+def test_config_accepts_every_depth_up_to_the_bound():
+    for depth in (1, 30, 31, DEPTH_MAX):
+        assert nested_cos(0.0, EvalConfig(depth, 2)) == 1.0
 
 
 def test_config_rejects_bad_seed_order():
@@ -74,18 +74,14 @@ def test_config_rejects_bad_seed_order():
 
 
 def test_check_depth_boundaries():
-    check_depth(1)
-    check_depth(DEPTH_CAP)
-    check_depth(DEPTH_CAP + 1, allow_deep=True)
-    check_depth(1023, allow_deep=True)
-    with pytest.raises(ValueError, match="2\\*\\*depth must stay a float"):
-        check_depth(1024, allow_deep=True)
-    with pytest.raises(ValueError, match="cap of 30"):
+    for depth in (1, 30, 31, 1023):
+        check_depth(depth)
+    assert DEPTH_MAX == 1023
+    with pytest.raises(ValueError, match=re.escape(
+            "depth 1024 exceeds 1023; 2**depth must stay a float")):
         check_depth(1024)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive integer"):
         check_depth(0)
-    with pytest.raises(ValueError):
-        check_depth(DEPTH_CAP + 1)
     for depth in (2.5, True):
         with pytest.raises(ValueError, match="positive integer"):
             check_depth(depth)
@@ -299,7 +295,7 @@ def test_acos_of_one_is_exactly_zero(depth):
 
 
 def test_acos_of_real_input_is_a_nonnegative_float_near_acos():
-    # The docstring's claim at every depth under the cap: truncation
+    # The docstring's claim at every depth to 30: truncation
     # acos(y)**3 / (24 * 4**depth) plus roundoff of about 2**depth *
     # sqrt(eps), here allowed 2**depth * sqrt(2 * eps).  The roundoff
     # term takes the deep results out of [0, pi], so no value is pinned.
@@ -307,7 +303,7 @@ def test_acos_of_real_input_is_a_nonnegative_float_near_acos():
     ys = [i / 64 - 1 for i in range(129)] + [rng.uniform(-1.0, 1.0)
                                              for _ in range(200)]
     ys += [math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 5e-324]
-    for depth in range(1, DEPTH_CAP + 1):
+    for depth in range(1, 31):
         bound = 2.0 ** depth * math.sqrt(2.0 * EPS)
         for y in ys:
             v, theta = nested_acos(y, depth), math.acos(y)
@@ -337,13 +333,12 @@ def test_acos_above_one_deep_plateau(depth):
 def test_deep_tower_precision_collapse():
     # At depth 25 the iterate sits within one ulp of 1.0 and the 2**25
     # prefactor turns that quantization into an error of order 1e-2.
-    # Documents what DEPTH_CAP protects against further out.
     v = nested_acos(0.0, 25)
     assert v == pytest.approx(1.5811388300841898, rel=1e-12)
     assert abs(v - math.pi / 2) > 5e-3
-    # Not only small angles collapse, and not only past the cap (DEPTH_CAP
-    # comment): depth n returns exactly 0.0 for acos(y) < 2**n * sqrt(eps/3)
-    # and for acosh(y) of real y > 1 below twice that.  Rows on each side.
+    # Not only small angles collapse (nested_acos's docstring): depth n
+    # returns exactly 0.0 for acos(y) < 2**n * sqrt(eps/3) and for
+    # acosh(y) of real y > 1 below twice that.  Rows on each side.
     r = math.sqrt(EPS / 3)
     zero = [nested_acos(0.0, 28), nested_acos(-1.0, 29),
             nested_acosh(2.0, 27), nested_acosh(2.0, 30),
@@ -359,30 +354,30 @@ def test_deep_tower_precision_collapse():
     assert zero == [0.0] * len(zero) and 0.0 not in kept
     # The forward chain carries e = 1 - c, which is x**2/2 for tiny x at
     # every depth, so nested_cos is exactly 1.0 only where that rounds
-    # below eps/4, |x| < sqrt(eps/2); past the cap also where the seed's
+    # below eps/4, |x| < sqrt(eps/2); deeper also where the seed's
     # e = (x/2**n)**2/2 underflows, from depth 537 at x = 1.
     s = math.sqrt(EPS / 2)
     cfgs = [EvalConfig(1), EvalConfig(30), EvalConfig(20, 4)]
     one = [nested_cos(0.99 * s, cfg) for cfg in cfgs] + [
-        nested_cos(1.0, EvalConfig(537, allow_deep=True))]
+        nested_cos(1.0, EvalConfig(537))]
     moved = [nested_cos(1.01 * s, cfg) for cfg in cfgs] + [
-        nested_cos(1.0, EvalConfig(536, allow_deep=True)),
+        nested_cos(1.0, EvalConfig(536)),
         nested_cos(1.0, EvalConfig(30)), nested_cos(11.0, EvalConfig(30))]
     assert one == [1.0] * len(one) and 1.0 not in moved
     assert math.cos(0.99 * s) == 1.0 != math.cos(1.01 * s)
 
 
 def test_forward_chain_keeps_its_digits_past_the_cap():
-    # EvalConfig's allow_deep claim: the deviation chain's roundoff does
-    # not grow with depth, so the cap guards nothing on the forward side.
-    for depth in (DEPTH_CAP, 100, 500):
-        cfg = EvalConfig(depth, 2, allow_deep=True)
+    # The deviation chain's roundoff does not grow with depth, so the
+    # forward side keeps its digits to depth 500.
+    for depth in (30, 100, 500):
+        cfg = EvalConfig(depth, 2)
         assert abs(nested_cos(1.0, cfg) - math.cos(1.0)) <= 2 * EPS
         assert abs(nested_sin(1.0, cfg) - math.sin(1.0)) <= 2 * EPS
 
 
 def test_acos_of_zero_roundoff_overtakes_truncation():
-    # The DEPTH_CAP comment's regimes for nested_acos(0): the error is the
+    # The README's regimes for nested_acos(0): the error is the
     # cubic truncation term at depth 11, roundoff exceeds it from depth 14
     # on, and the error is 1e-2 at depth 24.  The roundoff also takes the
     # value out of [0, pi], as nested_acos's docstring says.
@@ -400,32 +395,29 @@ def test_acos_of_zero_roundoff_overtakes_truncation():
 
 
 def test_depth_cap_enforced_on_inverse():
-    with pytest.raises(ValueError, match="allow_deep"):
-        nested_acos(0.0, DEPTH_CAP + 1)
-    # With the override the depth runs, at total precision loss: the
-    # iterate saturates at 1.0 and the closing radical returns zero, below
-    # the same thresholds as inside the cap (acosh 35.2 and 39.8 against
-    # 2**32 * sqrt(eps/3), about 37).
-    assert nested_acos(0.0, DEPTH_CAP + 1, allow_deep=True) == 0.0
-    assert nested_acosh(1e15, DEPTH_CAP + 1, allow_deep=True) == 0.0
-    assert nested_acosh(1e17, DEPTH_CAP + 1, allow_deep=True) != 0.0
+    # Depth 31 runs at total precision loss for small angles: the iterate
+    # saturates at 1.0 and the closing radical returns zero, below the
+    # same thresholds as at depth 30 and under (acosh 35.2 and 39.8
+    # against 2**32 * sqrt(eps/3), about 37).
+    assert nested_acos(0.0, 31) == 0.0
+    assert nested_acosh(1e15, 31) == 0.0
+    assert nested_acosh(1e17, 31) != 0.0
 
 
 def test_large_angles_gain_digits_past_the_cap():
     # Truncation, not roundoff, limits large branches and large |x|, so
-    # lifting the cap buys them digits (as the DEPTH_CAP comment says).
+    # depths past 30 buy them digits (as the README says).
     k = 10 ** 6
     exact = (2 * k + 1) * math.pi / 2
 
     def branch_err(d):
-        return abs(nested_acos_branch(0.0, k, d, allow_deep=True) - exact) / exact
+        return abs(nested_acos_branch(0.0, k, d) - exact) / exact
 
     def cos_err(d):
-        return abs(nested_cos(1e6, EvalConfig(d, 2, allow_deep=True))
-                   - math.cos(1e6))
+        return abs(nested_cos(1e6, EvalConfig(d, 2)) - math.cos(1e6))
 
-    assert branch_err(DEPTH_CAP) > 1e-7 and branch_err(33) < 1e-8
-    assert cos_err(DEPTH_CAP) > 5e-3 and cos_err(33) < 1e-3
+    assert branch_err(30) > 1e-7 and branch_err(33) < 1e-8
+    assert cos_err(30) > 5e-3 and cos_err(33) < 1e-3
 
 
 SEQ_ACOS0_D4 = [

@@ -5,8 +5,11 @@ evaluates to an object whose repr is value (a note after a comma is
 dropped).  Each `$ nestrad ...` line, its trailing comment stripped,
 exits 0 and prints the lines that follow it up to a blank line or the
 next prompt; a final `...` line makes them a prefix of the output.
+Besides, every `--option` the prose names in an inline code span is one
+that some command's parser registers.
 """
 
+import argparse
 import contextlib
 import io
 import pathlib
@@ -15,6 +18,7 @@ import shlex
 
 import pytest
 
+from nestrad import cli
 from nestrad.cli import main
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -78,3 +82,24 @@ def test_command_line_example(argv, expected):
         got = got[:len(expected)]
     if expected:
         assert got == expected
+
+
+def _unregistered_options(text):
+    # The --options named in inline code spans, outside fenced blocks, that
+    # no command's parser registers (-h/--help included).
+    registered = set()
+    for _, add_args, _ in cli._COMMANDS.values():
+        parser = argparse.ArgumentParser()
+        add_args(parser)
+        registered.update(parser._option_string_actions)
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    named = {option for span in re.findall(r"`([^`]+)`", prose)
+             for option in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", span)}
+    return named - registered
+
+
+def test_readme_options_are_the_parsers_options():
+    assert _unregistered_options(TEXT) == set()
+    assert _unregistered_options(
+        "`--depth` and `--allow-deep`\n```sh\npip install --no-deps\n```"
+    ) == {"--allow-deep"}

@@ -234,13 +234,12 @@ def test_config_cache_validates_like_evalconfig(monkeypatch):
     # Warming with depths 1 and 10 and orders 1 and 2 puts the keys that
     # True, 10.0 and [2] would hit, were the cache not typed or hashed.
     grid = list(itertools.product(
-        [10, 0, 31, True, 10.0, "10", [10]], [2, 0, 5, True, [2]],
-        [False, [], True]))
+        [10, 0, 31, 1024, True, 10.0, "10", [10]], [2, 0, 5, True, [2]]))
 
     def outcomes(name):
-        return [_outcome(lambda: eval_report(name, 0.5, depth=d, seed_order=o,
-                                             allow_deep=a).value)
-                for d, o, a in grid]
+        return [_outcome(lambda: eval_report(name, 0.5, depth=d,
+                                             seed_order=o).value)
+                for d, o in grid]
 
     for name in FUNCTIONS:
         with monkeypatch.context() as m:
@@ -252,14 +251,15 @@ def test_config_cache_validates_like_evalconfig(monkeypatch):
             eval_report(name, 0.5, depth=depth, seed_order=order)
         warm = outcomes(name)
         assert cold == uncached and warm == uncached, name
-        for (d, o, a), got in zip(grid, uncached):
-            want = _outcome(lambda: EvalConfig(d, o, a))
+        for (d, o), got in zip(grid, uncached):
+            want = _outcome(lambda: EvalConfig(d, o))
             if want[0] == "value":
-                assert got[0] == "value", (name, d, o, a)
+                assert got[0] == "value", (name, d, o)
             else:
-                assert got == want, (name, d, o, a)
-    assert uncached[grid.index((31, 2, True))][0] == "value"
-    assert uncached[grid.index((10, 2, []))][0] == "value"
+                assert got == want, (name, d, o)
+    assert uncached[grid.index((31, 2))][0] == "value"
+    assert uncached[grid.index((1024, 2))] == (
+        ValueError, "depth 1024 exceeds 1023; 2**depth must stay a float")
 
 
 def test_config_cache_is_used_and_bounded():
@@ -269,9 +269,9 @@ def test_config_cache_is_used_and_bounded():
     eval_report("sin", 0.7342, depth=17, seed_order=3)
     info = verify._config.cache_info()
     assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
-    # Every depth allow_deep admits past the cap, up to the bound of 1023.
+    # Every depth past 30, up to the bound of 1023.
     for depth in range(31, 1024):
-        eval_report("cos", 0.5, depth=depth, allow_deep=True)
+        eval_report("cos", 0.5, depth=depth)
     info = verify._config.cache_info()
     assert info.maxsize == 256 and info.currsize == info.maxsize
 
@@ -280,11 +280,10 @@ def test_config_cache_is_used_and_bounded():
 def test_allow_deep_stops_where_2_to_the_depth_leaves_the_floats(name):
     # At 1024, 2.0**depth overflows and the limit index 2**depth no longer
     # converts to a float, so every function rejects the depth up front.
-    eval_report(name, 0.5, depth=1023, allow_deep=True)
+    eval_report(name, 0.5, depth=1023)
     with pytest.raises(ValueError, match=re.escape(
-            "depth 1024 exceeds 1023, even with allow_deep; 2**depth must "
-            "stay a float")):
-        eval_report(name, 0.5, depth=1024, allow_deep=True)
+            "depth 1024 exceeds 1023; 2**depth must stay a float")):
+        eval_report(name, 0.5, depth=1024)
 
 
 def test_std_oracle_complex_and_out_of_domain_input():
@@ -484,17 +483,18 @@ def test_table2_degenerate_pairs_bitwise():
 
 
 @pytest.mark.parametrize("fn, args", [
-    (sweep_branches, (3, 1, 31)),
-    (reproduce_table1, (31,)),
-    (reproduce_table2, (31,)),
+    (sweep_branches, (3, 1)),
+    (reproduce_table1, ()),
+    (reproduce_table2, ()),
 ])
 def test_cap_message_offers_no_option_the_caller_lacks(fn, args):
-    # These callers take no allow_deep, so the message must not ask for it.
+    # The sweep and the tables take the depths every entry point takes,
+    # and reject the first past the bound with the one message.
+    assert list(fn(*args, 31))
     with pytest.raises(ValueError) as info:
-        fn(*args)
+        fn(*args, 1024)
     assert str(info.value) == (
-        "depth 31 exceeds the cap of 30; only entry points that take "
-        "allow_deep can lift it")
+        "depth 1024 exceeds 1023; 2**depth must stay a float")
 
 
 @pytest.mark.parametrize("fn", [reproduce_table1, reproduce_table2])
