@@ -21,8 +21,7 @@ import re
 import sys
 from itertools import chain, islice
 
-from .branches import gray_signs
-from .core import DEPTH_MAX, Scalar
+from .core import DEPTH_MAX, Scalar, gray_signs
 from .expand import expand_nested_cos
 from .verify import (
     FUNCTIONS,

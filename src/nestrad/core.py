@@ -4,7 +4,8 @@ The forward direction seeds a short even series at the reduced argument
 x / 2**depth and doubles the angle ``depth`` times: -1 + 2*y**2 on the
 deviation 1 - y, and Viete's sin 2t = 2 sin t cos t beside it.  The inverse
 direction runs the cosine chain backwards as a tower of square roots and
-closes with sqrt(2*(1 -+ y)) scaled by 2**depth.
+closes with sqrt(2*(1 -+ y)) scaled by 2**depth; signs on the radicals read
+off the Gray code of k give branch k, so consecutive k differ in one sign.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ __all__ = [
     "nested_acos_sequence",
     "nested_acosh_sequence",
     "check_depth",
+    "gray_signs",
+    "gray_adjacent_distance",
+    "nested_acos_branch",
+    "nested_acosh_branch",
 ]
 
 Scalar = float | complex
@@ -331,18 +336,83 @@ def nested_acosh(y: Scalar, depth: int = 10) -> Scalar:
     return _tower(y, depth, 0, acosh_outer)
 
 
+def _inverse_sequence(y: Scalar, depth: int,
+                      outer: Callable[[Scalar], Scalar]) -> list[Scalar]:
+    check_depth(depth)
+    ys = _trace(y, half_angle_step, depth)[1:]
+    return ys + [(2.0 ** depth) * outer(ys[-1])]
+
+
 def nested_acos_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
     """Inverse iterates followed by the scaled closing value.
 
     Returns depth + 1 entries; the last one equals nested_acos(y, depth).
     """
-    check_depth(depth)
-    ys = _trace(y, half_angle_step, depth)[1:]
-    return ys + [(2.0 ** depth) * acos_outer(ys[-1])]
+    return _inverse_sequence(y, depth, acos_outer)
 
 
 def nested_acosh_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
     """Hyperbolic counterpart of nested_acos_sequence."""
+    return _inverse_sequence(y, depth, acosh_outer)
+
+
+def _index_error(k: object, limit: str, bound: str) -> ValueError:
+    # An index of the wrong type is out of range too; the message names it.
+    need = bound if _is_int(k) else f"an int {bound}, got {type(k).__name__}"
+    return ValueError(f"branch index {k!r} out of range for {limit}; need {need}")
+
+
+def _check_index(k: int, width: int) -> None:
+    if not _is_int(width) or width < 1:
+        raise ValueError(f"width must be a positive integer, got {width}")
+    if width > DEPTH_MAX:
+        raise ValueError(f"width {width} exceeds {DEPTH_MAX}; a tower has at "
+                         f"most {DEPTH_MAX} radicals")
+    if not _is_int(k) or not 0 <= k < 2 ** (width - 1):
+        raise _index_error(k, f"width {width}", f"0 <= k < {2 ** (width - 1)}")
+
+
+def gray_signs(k: int, width: int) -> tuple[int, ...]:
+    """Sign tuple (+1/-1) of branch k for a radical tower of the given width.
+
+    Entry m applies after the m-th radical counting from the innermost.
+    Bit m of the Gray code k ^ (k >> 1) set means entry m is -1.  The
+    outermost slot is the leading Gray bit and stays +1 for every valid
+    k, hence the bound k < 2**(width - 1).  width is at most DEPTH_MAX.
+    """
+    _check_index(k, width)
+    g = _gray(k)
+    return tuple(-1 if (g >> m) & 1 else 1 for m in range(width))
+
+
+def gray_adjacent_distance(k: int, width: int) -> int:
+    """Number of sign slots that differ between branches k and k + 1."""
+    _check_index(k, width)
+    _check_index(k + 1, width)
+    return (_gray(k) ^ _gray(k + 1)).bit_count()
+
+
+def _branch(y: Scalar, k: int, depth: int,
+            outer: Callable[[Scalar], Scalar]) -> Scalar:
     check_depth(depth)
-    ys = _trace(y, half_angle_step, depth)[1:]
-    return ys + [(2.0 ** depth) * acosh_outer(ys[-1])]
+    half = 2 ** (depth - 1)
+    if not _is_int(k) or not -half <= k < half:
+        raise _index_error(k, f"depth {depth}", f"{-half} <= k < {half}")
+    if k < 0:
+        return -_tower(y, depth, _gray(-k - 1), outer)
+    return _tower(y, depth, _gray(k), outer)
+
+
+def nested_acos_branch(y: Scalar, k: int, depth: int = 10) -> Scalar:
+    """Branch k of the inverse cosine from the signed radical tower.
+
+    k = 0 reproduces nested_acos.  Negative k mirrors through zero:
+    branch -k of a value is minus branch k - 1, covering the branches
+    below the principal one, so -2**(depth-1) <= k < 2**(depth-1).
+    """
+    return _branch(y, k, depth, acos_outer)
+
+
+def nested_acosh_branch(y: Scalar, k: int, depth: int = 10) -> Scalar:
+    """Branch k of the inverse hyperbolic cosine; mirrors nested_acos_branch."""
+    return _branch(y, k, depth, acosh_outer)

@@ -16,13 +16,6 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterator
 
-from .branches import (
-    _reflect,
-    branch_oracle_acos,
-    gray_signs,
-    nested_acos_branch,
-    nested_acosh_branch,
-)
 from .core import (
     EvalConfig,
     Scalar,
@@ -31,6 +24,9 @@ from .core import (
     _real,
     _towers,
     check_depth,
+    gray_signs,
+    nested_acos_branch,
+    nested_acosh_branch,
     nested_cos,
     nested_cosh,
 )
@@ -52,6 +48,8 @@ from .derived import (
 __all__ = [
     "ref_acos",
     "ref_acosh",
+    "extract_branch",
+    "branch_oracle_acos",
     "EvalReport",
     "make_report",
     "ConvergenceRow",
@@ -132,6 +130,38 @@ class ConvergenceRow:
     value: Scalar
     abs_error: float
     error_ratio: float
+
+
+def extract_branch(x: Scalar) -> float:
+    """Recover the continuous branch coordinate re(x)/pi - 1/2.
+
+    Branch k of the inverse cosine of a real argument lands in
+    (k*pi, (k+1)*pi), so rounding the returned value gives k back.
+    """
+    return _real(x) / math.pi - 0.5
+
+
+def branch_oracle_acos(y: float, k: int) -> float:
+    """Closed-form branch k of acos on [-1, 1] for checking the tower.
+
+    Even k adds k*pi to the principal value; odd k reflects it off the
+    next multiple of pi.
+    """
+    if not -1.0 <= y <= 1.0:
+        raise ValueError(f"oracle needs y in [-1, 1], got {y}")
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"oracle branch index must be >= 0, got {k}")
+    return _reflect(math.acos(y), k)
+
+
+def _reflect(x0: Scalar, k: int) -> Scalar:
+    # Branch k from the principal value x0: even k adds k*pi, odd k
+    # reflects off (k+1)*pi, and negative k is minus branch -k-1.
+    if k < 0:
+        return -_reflect(x0, -k - 1)
+    if k % 2 == 0:
+        return k * math.pi + x0
+    return (k + 1) * math.pi - x0
 
 
 def _acos_oracle(z: Scalar, branch: int = 0) -> complex:

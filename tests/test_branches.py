@@ -1,10 +1,12 @@
 """Gray-coded sign towers and branch selection for the radical inverses."""
 
 import math
+import re
 
 import pytest
 
 from nestrad import (
+    DEPTH_MAX,
     branch_oracle_acos,
     extract_branch,
     gray_adjacent_distance,
@@ -68,6 +70,16 @@ def test_sign_sequence_range_errors():
     for width in (4.0, True):
         with pytest.raises(ValueError, match="width must be a positive integer"):
             gray_signs(0, width)
+
+
+def test_width_stops_at_the_tallest_tower():
+    # No tower has more than DEPTH_MAX radicals, so a wider pattern is
+    # rejected before the bound 2**(width - 1) is formed.
+    assert len(gray_signs(0, DEPTH_MAX)) == DEPTH_MAX == 1023
+    message = "width 1024 exceeds 1023; a tower has at most 1023 radicals"
+    for fn in (gray_signs, gray_adjacent_distance):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(0, 1024)
 
 
 def test_adjacent_branches_differ_in_one_slot():

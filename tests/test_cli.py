@@ -366,6 +366,8 @@ def test_repeated_invocations_are_byte_identical():
     (["eval", "cos", "1", "--allow-deep"], 2, "unrecognized arguments"),
     (["converge", "cos", "1", "--depths", "4", "--allow-deep"], 2,
      "unrecognized arguments"),
+    (["signs", "--branch", "0", "--width", "1024"], 2,
+     "width 1024 exceeds 1023; a tower has at most 1023 radicals"),
 ])
 def test_exit_codes_and_messages(argv, code, fragment):
     got, out, err = run_cli(argv)
@@ -378,7 +380,7 @@ def test_exit_codes_and_messages(argv, code, fragment):
     ["eval", "acos", "0", "--depth", "31"],
     ["converge", "acos", "0.3", "--depths", "30..31"],
 ])
-def test_allow_deep_lifts_the_cap_where_it_is_read(argv):
+def test_depth_31_evaluates_from_the_cli(argv):
     got, out, err = run_cli(argv)
     assert (got, err) == (0, "")
     assert out.startswith(("value ", "depth,"))

@@ -38,7 +38,7 @@ from nestrad import (
     nested_sin,
     principal_sqrt,
 )
-from nestrad import branches, core
+from nestrad import core
 from nestrad.core import _climb, _gray_tree, _tower, _towers
 
 from bitwise import assert_bitwise_equal
@@ -626,7 +626,6 @@ def test_tower_matches_literal_loop(depth, monkeypatch):
     assert all(o.startswith(("TypeError: ", "ValueError: branch index"))
                for o in got[-3 * per_input:])
     monkeypatch.setattr(core, "_tower", _literal_tower)
-    monkeypatch.setattr(branches, "_tower", _literal_tower)
     assert got == _tower_outcomes(depth)
 
 

@@ -5,7 +5,7 @@ import pathlib
 import sys
 
 import nestrad
-from nestrad import branches, core, derived, expand, verify
+from nestrad import core, derived, expand, verify
 
 PUBLIC = {
     "DEFAULT_CONFIG", "DEPTH_MAX", "EXPANSION_DEPTH_CAP",
@@ -34,7 +34,7 @@ def test_public_names_are_pinned():
 
 def test_each_public_name_is_its_defining_modules_object():
     owners = {}
-    for module in (branches, core, derived, expand, verify):
+    for module in (core, derived, expand, verify):
         for name in module.__all__:
             assert name not in owners, f"{name} exported by two modules"
             owners[name] = module
@@ -116,3 +116,15 @@ def test_cli_imports_only_public_names():
                and (node.level or node.module.partition(".")[0] == "nestrad")
                for a in node.names if a.name.startswith("_")]
     assert not private, f"cli.py imports private names {private}"
+
+
+def test_one_module_reads_each_convention():
+    # Layering guard: the Gray-code sign rule and the radical tower are
+    # core's, and the branch reflection is verify's; verify may read the
+    # batch entry _towers, but no other module reads their parts.
+    homes = {"_tower": "core", "_gray": "core", "_gray_tree": "core",
+             "_climb": "core", "_reflect": "verify"}
+    strays = sorted((name, private) for name, tree in _modules().items()
+                    for private in homes.keys() & set(_reads(tree))
+                    if homes[private] != name)
+    assert not strays, f"read outside their home module: {strays}"

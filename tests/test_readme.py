@@ -6,7 +6,8 @@ dropped).  Each `$ nestrad ...` line, its trailing comment stripped,
 exits 0 and prints the lines that follow it up to a blank line or the
 next prompt; a final `...` line makes them a prefix of the output.
 Besides, every `--option` the prose names in an inline code span is one
-that some command's parser registers.
+that some command's parser registers, and the Layout block lists the
+package's modules.
 """
 
 import argparse
@@ -82,6 +83,16 @@ def test_command_line_example(argv, expected):
         got = got[:len(expected)]
     if expected:
         assert got == expected
+
+
+def test_layout_lists_the_modules():
+    block = re.search(r"## Layout\n\n```text\n(.*?)```", TEXT, re.S)
+    listed = [line.split()[0] for line in block.group(1).splitlines()
+              if line.startswith("src/nestrad/")]
+    src = README.parent / "src" / "nestrad"
+    modules = [f"src/nestrad/{path.name}" for path in src.glob("*.py")
+               if path.name not in ("__init__.py", "__main__.py")]
+    assert sorted(listed) == sorted(modules)
 
 
 def _unregistered_options(text):

@@ -277,7 +277,7 @@ def test_config_cache_is_used_and_bounded():
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)
-def test_allow_deep_stops_where_2_to_the_depth_leaves_the_floats(name):
+def test_depth_bound_stops_where_2_to_the_depth_leaves_the_floats(name):
     # At 1024, 2.0**depth overflows and the limit index 2**depth no longer
     # converts to a float, so every function rejects the depth up front.
     eval_report(name, 0.5, depth=1023)
