@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from math import factorial
+from math import gcd
 from typing import Iterator
 
 from .core import _is_int
@@ -27,11 +27,11 @@ __all__ = [
     "maclaurin_error_profile",
 ]
 
-#: Coefficient count 2**depth + 1 and coefficient bit-lengths both grow
-#: geometrically, so each extra depth multiplies the cost of a full
-#: expansion.  From depth 10 on the largest denominators exceed
-#: Python's default 4300-digit limit for int-to-str conversion, so the CLI
-#: cannot print those coefficients unless PYTHONINTMAXSTRDIGITS lifts it.
+#: Coefficient count 2**depth + 1 and bit-lengths grow geometrically.  From
+#: depth 10 on, denominators pass Python's 4300-digit int-to-str limit, so
+#: the CLI prints them only if PYTHONINTMAXSTRDIGITS lifts it.  Depths 1..9
+#: are built once per process (1.16 MB for all 18 polys with float tables,
+#: CPython 3.11); keeping 10..12 too would hold 77 MB, 29.5 MB at depth 12.
 EXPANSION_DEPTH_CAP = 12
 
 
@@ -71,9 +71,9 @@ class RationalPoly:
     def evaluate(self, x: float) -> float:
         """Floating-point Horner evaluation in u = x**2.
 
-        The coefficients are converted to float once per polynomial, on
-        the first call; top coefficients that are 0.0 as floats are skipped,
-        so from depth 7 on only 88-89 of the 2**depth + 1 enter the loop.
+        Coefficients go to float on the first call, once per polynomial and
+        so once per process for expand_nested_cos at depth <= 9.  Top ones
+        that are 0.0 as floats are skipped: from depth 7 on 88-89 are summed.
         """
         u = x * x
         acc = 0.0
@@ -82,20 +82,22 @@ class RationalPoly:
         return acc
 
 
-def _coefficients(depth: int, variant: str) -> Iterator[Fraction]:
-    # Yields c_0..c_N in order, each built only when it is asked for.
+def _check(depth: int, variant: str) -> None:
     if not _is_int(depth) or not 1 <= depth <= EXPANSION_DEPTH_CAP:
         raise ValueError(
             f"depth must be in 1..{EXPANSION_DEPTH_CAP}, got {depth}")
     if variant not in ("circular", "hyperbolic"):
         raise ValueError(
             f"variant must be 'circular' or 'hyperbolic', got {variant!r}")
+
+
+def _coefficients(depth: int, variant: str) -> Iterator[Fraction]:
+    # Yields c_0..c_N of a checked (depth, variant), each only when asked.
     # Term ratio of 2F1(-N, N; 1/2; z) with z = -+u/2**(2*depth+2), u = x**2:
     # c[j+1] = c[j] * (N-j)(N+j) / ((2j+1)(j+1)) * -+1/2**e, e = 2*depth+1.
     # a = c[j] * 2**(e*j) is +- the coefficient of (1 - t)**j in T_N(t), an
     # integer; its odd part over a power of two is c[j], built with no gcd.
-    n = 2 ** depth
-    e = 2 * depth + 1
+    n, e = 2 ** depth, 2 * depth + 1
     sign = -1 if variant == "circular" else 1
     yield Fraction(1)
     a = 1
@@ -107,13 +109,20 @@ def _coefficients(depth: int, variant: str) -> Iterator[Fraction]:
         yield c
 
 
+@lru_cache(maxsize=None)
+def _build(depth: int, variant: str) -> RationalPoly:
+    return RationalPoly(tuple(_coefficients(depth, variant)))
+
+
 def expand_nested_cos(depth: int, variant: str = "circular") -> RationalPoly:
     """Exact expansion of the depth-fold chain on the two-term seed.
 
     variant "circular" seeds 1 - x**2/2**(2*depth+1) (cosine);
-    "hyperbolic" flips the seed sign (hyperbolic cosine).
+    "hyperbolic" flips the seed sign (hyperbolic cosine).  Up to depth 9
+    every call returns one shared, immutable poly; deeper ones are fresh.
     """
-    return RationalPoly(tuple(_coefficients(depth, variant)))
+    _check(depth, variant)
+    return (_build if depth <= 9 else _build.__wrapped__)(depth, variant)
 
 
 def maclaurin_error_profile(depth: int, max_j: int) -> list[Fraction]:
@@ -124,6 +133,17 @@ def maclaurin_error_profile(depth: int, max_j: int) -> list[Fraction]:
     """
     if not _is_int(max_j) or max_j < 1:
         raise ValueError(f"max_j must be a positive integer, got {max_j}")
+    _check(depth, "circular")
     coeffs = chain(_coefficients(depth, "circular"), repeat(Fraction(0)))
-    return [c - Fraction((-1) ** j, factorial(2 * j))
-            for j, c in zip(range(max_j + 1), coeffs)]
+    # c - (-1)**j/f with c = n/d and f = (2j)!: over g = gcd(d, f), a power
+    # of two, it is (n*f/g -+ d/g)/(d*f/g), and only g's factors can cancel.
+    profile, f = [], 1
+    for j, c in zip(range(max_j + 1), coeffs):
+        g = min(d := c.denominator, f & -f)
+        t = c.numerator * (f // g) + (d // g if j % 2 else -(d // g))
+        h = gcd(t, g)
+        e = object.__new__(Fraction)
+        e._numerator, e._denominator = t // h, d // g * (f // h)
+        profile.append(e)
+        f *= (2 * j + 1) * (2 * j + 2)
+    return profile

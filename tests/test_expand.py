@@ -1,12 +1,16 @@
 """Exact rational expansion of the doubled polynomial chain."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 from fractions import Fraction
 
 import pytest
 
+import nestrad
 from nestrad import (
     EXPANSION_DEPTH_CAP,
     EvalConfig,
@@ -15,6 +19,7 @@ from nestrad import (
     maclaurin_error_profile,
     nested_cos,
 )
+from nestrad.expand import _build
 
 
 def test_single_level_coefficients():
@@ -119,12 +124,15 @@ def test_coefficients_match_fraction_recurrence(depth, variant):
             assert str(c) == str(r)
 
 
-@pytest.mark.parametrize("depth", range(1, 8))
+@pytest.mark.parametrize("depth", range(1, 11))
 def test_error_profile_matches_fraction_recurrence(depth):
     # max_j below, at and above the degree 2**depth: the partial expansion
-    # stops at max_j, and past the degree the coefficients are zero.
+    # stops at max_j, and past the degree the coefficients are zero.  Every
+    # depth also takes max_j 1..12, the sizes the benchmark draws; depths
+    # 8..10 take only those.
     n = 2 ** depth
-    for max_j in sorted({1, n - 1, n, n + 2}):
+    rows = {*range(1, 13), n - 1, n, n + 2} if depth <= 7 else range(1, 13)
+    for max_j in sorted(rows):
         ref = _reference_coefficients(depth, "circular", max_j)
         ref += [Fraction(0)] * (max_j + 1 - len(ref))
         want = [c - Fraction((-1) ** j, math.factorial(2 * j))
@@ -133,6 +141,8 @@ def test_error_profile_matches_fraction_recurrence(depth):
         assert [(e.numerator, e.denominator) for e in got] == \
             [(e.numerator, e.denominator) for e in want]
         assert all(type(e) is Fraction for e in got)
+        assert all(e.denominator > 0 and math.gcd(e.numerator, e.denominator)
+                   == 1 for e in got)
 
 
 def _peak_bytes(fn, *args):
@@ -274,3 +284,55 @@ def test_horner_sums_only_float_nonzero_coefficients():
     for variant in ("circular", "hyperbolic"):
         assert [len(expand_nested_cos(d, variant)._horner)
                 for d in range(5, 11)] == [33, 65, 88, 89, 89, 89]
+
+
+@pytest.mark.parametrize("variant", ["circular", "hyperbolic"])
+@pytest.mark.parametrize("depth", range(1, 10))
+def test_expansion_is_shared_up_to_depth_9(depth, variant):
+    # One poly per (depth, variant), float table included, for the process.
+    p = expand_nested_cos(depth, variant)
+    p.evaluate(0.5)
+    q = expand_nested_cos(depth, variant)
+    assert q is p and q._horner is p._horner
+
+
+def test_depth_12_expansion_is_fresh_and_released():
+    # Depth 12 holds about 30 MB per poly: it is built on every call, and
+    # nothing of it stays allocated once the caller drops it.
+    p, q = expand_nested_cos(12), expand_nested_cos(12)
+    assert p == q and p is not q and p.coeffs is not q.coeffs
+    del p, q
+    tracemalloc.start()
+    try:
+        expand_nested_cos(12)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < peak / 100
+
+
+def test_rejected_arguments_never_reach_the_shared_expansions():
+    # True == 1 and 2.0 == 2 hash alike, so a cached key would answer them;
+    # the checks run first and raise, and the cache gains no entry.
+    expand_nested_cos(1), expand_nested_cos(2)
+    size = _build.cache_info().currsize
+    for depth in (True, 2.0, 0, 13, [3], "3"):
+        with pytest.raises(ValueError, match="depth must be in 1\\.\\.12"):
+            expand_nested_cos(depth)
+    for variant in ("parabolic", ["circular"]):
+        with pytest.raises(ValueError, match="variant must be"):
+            expand_nested_cos(2, variant)
+    assert _build.cache_info().currsize == size
+
+
+def test_shared_expansions_fill_lazily():
+    # Importing the package and the CLI and building the parser expand
+    # nothing: the first expand_nested_cos call of a depth builds it.
+    src = os.path.dirname(os.path.dirname(nestrad.__file__))
+    code = ("import nestrad, nestrad.cli\n"
+            "nestrad.cli.build_parser()\n"
+            "print(nestrad.expand._build.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout == "0\n"
