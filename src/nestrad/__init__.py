@@ -8,12 +8,11 @@ inverses, and asin, atan, log and kin reduce to those radical towers.
 Exact rational expansion, closed-form oracles, and a CLI round it out.
 """
 
-from . import core, derived, expand, verify
+from . import core, expand, verify
 from .core import *  # noqa: F401,F403
-from .derived import *  # noqa: F401,F403
 from .expand import *  # noqa: F401,F403
 from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [*core.__all__, *derived.__all__, *expand.__all__, *verify.__all__]
+__all__ = [*core.__all__, *expand.__all__, *verify.__all__]

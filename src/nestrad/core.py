@@ -1,11 +1,15 @@
-"""Half-angle recursion kernels: forward cos/cosh and their radical inverses.
+"""Half-angle recursion kernels and every elementary function built on them.
 
 The forward direction seeds a short even series at the reduced argument
 x / 2**depth and doubles the angle ``depth`` times: -1 + 2*y**2 on the
-deviation 1 - y, and Viete's sin 2t = 2 sin t cos t beside it.  The inverse
+deviation 1 - y, and Viete's sin 2t = 2 sin t cos t beside it.  Of that
+pair (c, s), cos and cosh are c, sin and sinh s, tan and tanh s/c, exp
+c + s; s is odd and entire, so no sign is restored.  The inverse
 direction runs the cosine chain backwards as a tower of square roots and
 closes with sqrt(2*(1 -+ y)) scaled by 2**depth; signs on the radicals read
 off the Gray code of k give branch k, so consecutive k differ in one sign.
+asin, atan, log and kin reach that tower through square roots, which
+forget signs: real input gets its sign back, complex input does not.
 """
 
 from __future__ import annotations
@@ -42,6 +46,18 @@ __all__ = [
     "gray_adjacent_distance",
     "nested_acos_branch",
     "nested_acosh_branch",
+    "nested_sin",
+    "nested_tan",
+    "nested_asin",
+    "nested_atan",
+    "nested_sinh",
+    "nested_tanh",
+    "nested_asinh",
+    "nested_atanh",
+    "nested_log",
+    "nested_exp",
+    "exp_limit",
+    "log_limit",
 ]
 
 Scalar = float | complex
@@ -215,6 +231,54 @@ def nested_cosh_sequence(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Sc
     return _doublings(_seed(x, cfg, True), cfg)
 
 
+def nested_sin(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
+    """Approximate sin(x): the sine doubled beside nested_cos(x), odd in x."""
+    return _forward(x, cfg, False)[1]
+
+
+def nested_tan(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
+    """nested_sin / nested_cos from one chain; raises where the cosine is 0."""
+    c, s = _forward(x, cfg, False)
+    if c == 0:
+        raise ZeroDivisionError("the nested cosine is zero; tangent pole")
+    return s / c
+
+
+def nested_sinh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
+    """The sine doubled beside nested_cosh(x); its square is cosh**2 - 1."""
+    return _forward(x, cfg, True)[1]
+
+
+def nested_tanh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
+    """nested_sinh / nested_cosh from one chain; raises where cosh is 0."""
+    c, s = _forward(x, cfg, True)
+    if c == 0:
+        raise ZeroDivisionError("the nested cosh is zero; hyperbolic tangent pole")
+    return s / c
+
+
+def nested_exp(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
+    """exp(x) as nested_cosh(x) + nested_sinh(x), from one chain."""
+    c, s = _forward(x, cfg, True)
+    return c + s
+
+
+def exp_limit(x: Scalar, n: int) -> Scalar:
+    """The classic limit (1 + x/n)**n by explicit square-and-multiply."""
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    base: Scalar = 1.0 + x / n
+    result: Scalar = 1.0
+    e = n
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 def acos_outer(y: Scalar) -> Scalar:
     """Closing map sqrt(2*(1 - y)); inverts the two-term cosine seed."""
     return principal_sqrt(2.0 * (1.0 - y))
@@ -354,6 +418,99 @@ def nested_acos_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
 def nested_acosh_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
     """Hyperbolic counterpart of nested_acos_sequence."""
     return _inverse_sequence(y, depth, acosh_outer)
+
+
+def _odd(v: Scalar, z: Scalar) -> Scalar:
+    # The square roots lose the sign of real z; an odd inverse gets it back.
+    if _is_real(z) and _real(z) < 0.0:
+        return -v
+    return v
+
+
+def _square(y: Scalar, name: str) -> Scalar:
+    # y**2 for asin and asinh, which overflows from about |y| = 1.34e154.
+    s = y * y
+    if cmath.isinf(s):
+        raise OverflowError(
+            f"y**2 overflows at y = {y!r}; the {name} radicand needs a "
+            "finite square")
+    return s
+
+
+def nested_asin(y: Scalar, depth: int = 10) -> Scalar:
+    """nested_acos of the principal root of 1 - y**2.
+
+    Returns the magnitude branch: real y and -y give the same value.
+    Raises OverflowError where y**2 overflows.
+    """
+    return nested_acos(principal_sqrt(1.0 - _square(y, "arcsine")), depth)
+
+
+def nested_atan(y: Scalar, depth: int = 10) -> Scalar:
+    """nested_acos of 1/sqrt(1 + y**2), negated for real y < 0.
+
+    Raises ZeroDivisionError at y = +-1j where 1 + y**2 vanishes.
+    """
+    d = 1.0 + y * y
+    if d == 0:
+        raise ZeroDivisionError("1 + y**2 is zero; arctangent poles at +-1j")
+    v = nested_acos(1.0 / principal_sqrt(d), depth)
+    return _odd(v, y)
+
+
+def nested_asinh(y: Scalar, depth: int = 10) -> Scalar:
+    """nested_acosh of sqrt(1 + y**2), with the sign of real y.
+
+    Raises OverflowError where y**2 overflows.
+    """
+    v = nested_acosh(principal_sqrt(1.0 + _square(y, "inverse hyperbolic sine")),
+                     depth)
+    return _odd(v, y)
+
+
+def nested_atanh(y: Scalar, depth: int = 10) -> Scalar:
+    """nested_acosh of 1/sqrt(1 - y**2), with the sign of real y.
+
+    Raises ZeroDivisionError at the poles y = +-1.
+    """
+    d = 1.0 - y * y
+    if d == 0:
+        raise ZeroDivisionError("y is +-1; inverse hyperbolic tangent pole")
+    v = nested_acosh(1.0 / principal_sqrt(d), depth)
+    return _odd(v, y)
+
+
+def nested_log(y: Scalar, depth: int = 10) -> Scalar:
+    """Logarithm via nested_acosh of the symmetric mean (y + 1/y)/2.
+
+    The mean collapses y and 1/y, so the principal inverse returns
+    |log y| for real y > 0; the sign is restored from y < 1.  Raises
+    ZeroDivisionError at y = 0 and OverflowError where 1/y overflows.
+    """
+    if y == 0:
+        raise ZeroDivisionError("logarithm of zero")
+    r = 1.0 / y
+    if cmath.isinf(r):
+        raise OverflowError(
+            f"1/y overflows at y = {y!r}; the logarithm's symmetric mean "
+            "needs a finite reciprocal")
+    v = nested_acosh((y + r) / 2.0, depth)
+    if _is_real(y) and 0.0 < _real(y) < 1.0:
+        return -v
+    return v
+
+
+def log_limit(y: Scalar, n: int) -> Scalar:
+    """The limit n*(y**(1/n) - 1) with the root as a chain of square roots.
+
+    n must be a power of two so the n-th root stays radical-only.
+    Raises ZeroDivisionError at y = 0 (log pole).
+    """
+    if not _is_int(n) or n < 1 or n & (n - 1):
+        raise ValueError(f"n must be a power of two, got {n}")
+    if y == 0:
+        raise ZeroDivisionError("logarithm of zero")
+    return n * (_trace(y, principal_sqrt, n.bit_length() - 1)[-1] - 1.0)
 
 
 def _index_error(k: object, limit: str, bound: str) -> ValueError:

@@ -24,19 +24,17 @@ from .core import (
     _real,
     _towers,
     check_depth,
+    exp_limit,
     gray_signs,
+    log_limit,
     nested_acos_branch,
     nested_acosh_branch,
-    nested_cos,
-    nested_cosh,
-)
-from .derived import (
-    exp_limit,
-    log_limit,
     nested_asin,
     nested_asinh,
     nested_atan,
     nested_atanh,
+    nested_cos,
+    nested_cosh,
     nested_exp,
     nested_log,
     nested_sin,

@@ -5,7 +5,7 @@ import pathlib
 import sys
 
 import nestrad
-from nestrad import core, derived, expand, verify
+from nestrad import core, expand, verify
 
 PUBLIC = {
     "DEFAULT_CONFIG", "DEPTH_MAX", "EXPANSION_DEPTH_CAP",
@@ -34,7 +34,7 @@ def test_public_names_are_pinned():
 
 def test_each_public_name_is_its_defining_modules_object():
     owners = {}
-    for module in (core, derived, expand, verify):
+    for module in (core, expand, verify):
         for name in module.__all__:
             assert name not in owners, f"{name} exported by two modules"
             owners[name] = module
@@ -119,12 +119,36 @@ def test_cli_imports_only_public_names():
 
 
 def test_one_module_reads_each_convention():
-    # Layering guard: the Gray-code sign rule and the radical tower are
-    # core's, and the branch reflection is verify's; verify may read the
-    # batch entry _towers, but no other module reads their parts.
+    # Layering guard: the Gray-code sign rule, the radical tower, the
+    # forward pair and the inverses' sign restore are core's, and the
+    # branch reflection is verify's; verify may read the batch entry
+    # _towers, but no other module reads their parts.
     homes = {"_tower": "core", "_gray": "core", "_gray_tree": "core",
-             "_climb": "core", "_reflect": "verify"}
+             "_climb": "core", "_forward": "core", "_seed": "core",
+             "_trace": "core", "_odd": "core", "_reflect": "verify"}
     strays = sorted((name, private) for name, tree in _modules().items()
                     for private in homes.keys() & set(_reads(tree))
                     if homes[private] != name)
     assert not strays, f"read outside their home module: {strays}"
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # Layering guard: the private names one module reads from another,
+    # imported (from .core import _x) or as an attribute (core._x), are
+    # exactly these.
+    allowed = {("verify", "core"): {"_is_int", "_is_real", "_real", "_towers"},
+               ("expand", "core"): {"_is_int"}}
+    modules = _modules()
+    reads = {}
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                home, names = node.module, [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                home, names = node.value.id, [node.attr]
+            else:
+                continue
+            private = {n for n in names if n.startswith("_") and not n.startswith("__")}
+            if home in modules and private:
+                reads.setdefault((name, home), set()).update(private)
+    assert reads == allowed
