@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import re
 import sys
 from itertools import chain, islice
@@ -103,6 +102,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     r = eval_report(args.fn, z, depth=args.depth, seed_order=args.seed_order,
                     branch=args.branch)
     if args.as_json:
+        import json
         print(json.dumps({
             "input": fmt_scalar(r.input),
             "value": fmt_scalar(r.value),

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from math import gcd
 from typing import Iterator
 
 from .core import _is_int
@@ -33,6 +32,7 @@ __all__ = [
 #: are built once per process (1.16 MB for all 18 polys with float tables,
 #: CPython 3.11); keeping 10..12 too would hold 77 MB, 29.5 MB at depth 12.
 EXPANSION_DEPTH_CAP = 12
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -130,20 +130,25 @@ def maclaurin_error_profile(depth: int, max_j: int) -> list[Fraction]:
 
     Entry j compares coefficient j against the true cosine series,
     for j = 0..max_j.  Coefficients past the degree 2**depth are zero.
+    Depths 1..9 read the shared expansion of expand_nested_cos, built on
+    first use; deeper ones pull only max_j + 1 coefficients.
     """
     if not _is_int(max_j) or max_j < 1:
         raise ValueError(f"max_j must be a positive integer, got {max_j}")
     _check(depth, "circular")
-    coeffs = chain(_coefficients(depth, "circular"), repeat(Fraction(0)))
-    # c - (-1)**j/f with c = n/d and f = (2j)!: over g = gcd(d, f), a power
-    # of two, it is (n*f/g -+ d/g)/(d*f/g), and only g's factors can cancel.
+    coeffs = (_build(depth, "circular").coeffs if depth <= 9
+              else _coefficients(depth, "circular"))
+    # c - (-1)**j/f with c = n/2**s and f = (2j)! = odd * 2**v (Legendre):
+    # over 2**m, m = min(s, v), it is t/(2**(s-m) * (f >> m)) with t =
+    # n*(f >> m) -+ 2**(s-m); 2**k, the lowest set bit of t | 2**m, cancels.
     profile, f = [], 1
-    for j, c in zip(range(max_j + 1), coeffs):
-        g = min(d := c.denominator, f & -f)
-        t = c.numerator * (f // g) + (d // g if j % 2 else -(d // g))
-        h = gcd(t, g)
+    for j, c in zip(range(max_j + 1), chain(coeffs, repeat(_ZERO))):
+        s, v = c._denominator.bit_length() - 1, 2 * j - j.bit_count()
+        m = s if s < v else v
+        t = c._numerator * (f >> m) + ((1 if j % 2 else -1) << s - m)
+        k = ((u := t | 1 << m) & -u).bit_length() - 1
         e = object.__new__(Fraction)
-        e._numerator, e._denominator = t // h, d // g * (f // h)
+        e._numerator, e._denominator = t >> k, (f >> k) << s - m
         profile.append(e)
         f *= (2 * j + 1) * (2 * j + 2)
     return profile

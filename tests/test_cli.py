@@ -3,11 +3,14 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
 
+import nestrad
 from nestrad import extract_branch, nested_acos_branch, sweep_branches
 from nestrad.cli import _parse_depths, fmt_real, fmt_scalar, main, parse_scalar
 
@@ -117,6 +120,22 @@ def test_eval_json_output():
     data = json.loads(out)
     assert data["depth"] == 10 and data["branch"] == 0
     assert isinstance(data["abs_error"], float)
+
+
+def test_only_eval_json_loads_json():
+    # Importing the CLI and building its parser leave json unloaded: only
+    # eval --json reads it, and other one-shot calls skip its import.
+    src = os.path.dirname(os.path.dirname(nestrad.__file__))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import nestrad.cli\n"
+            "nestrad.cli.build_parser()\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    added = out.stdout.split()
+    assert "nestrad.cli" in added and "json" not in added
 
 
 def test_eval_forward_with_options():

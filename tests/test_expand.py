@@ -124,12 +124,12 @@ def test_coefficients_match_fraction_recurrence(depth, variant):
             assert str(c) == str(r)
 
 
-@pytest.mark.parametrize("depth", range(1, 11))
+@pytest.mark.parametrize("depth", range(1, EXPANSION_DEPTH_CAP + 1))
 def test_error_profile_matches_fraction_recurrence(depth):
     # max_j below, at and above the degree 2**depth: the partial expansion
     # stops at max_j, and past the degree the coefficients are zero.  Every
     # depth also takes max_j 1..12, the sizes the benchmark draws; depths
-    # 8..10 take only those.
+    # 8..12 take only those.
     n = 2 ** depth
     rows = {*range(1, 13), n - 1, n, n + 2} if depth <= 7 else range(1, 13)
     for max_j in sorted(rows):
@@ -160,6 +160,36 @@ def test_error_profile_builds_only_the_coefficients_it_compares():
     # on CPython 3.11.
     full = _peak_bytes(expand_nested_cos, EXPANSION_DEPTH_CAP)
     assert _peak_bytes(maclaurin_error_profile, EXPANSION_DEPTH_CAP, 3) < full / 20
+
+
+def test_error_profile_reads_the_shared_expansion(monkeypatch):
+    # Depths 1..9 read the poly expand_nested_cos shares and run no step
+    # of the recurrence; depths 10..12 pull max_j + 1 coefficients from it.
+    def unused(depth, variant):
+        raise AssertionError("the recurrence ran")
+
+    shared = {d: expand_nested_cos(d) for d in range(1, 10)}
+    real = nestrad.expand._coefficients
+    monkeypatch.setattr(nestrad.expand, "_coefficients", unused)
+    for depth in range(1, 10):
+        for max_j in (1, 5, 12, 2 ** depth + 3):
+            assert maclaurin_error_profile(depth, max_j) == [
+                shared[depth].coefficient(j)
+                - Fraction((-1) ** j, math.factorial(2 * j))
+                for j in range(max_j + 1)]
+    pulled = []
+
+    def counting(depth, variant):
+        for c in real(depth, variant):
+            pulled.append(c)
+            yield c
+
+    monkeypatch.setattr(nestrad.expand, "_coefficients", counting)
+    for depth in range(10, EXPANSION_DEPTH_CAP + 1):
+        for max_j in (1, 5, 12):
+            pulled.clear()
+            maclaurin_error_profile(depth, max_j)
+            assert len(pulled) == max_j + 1
 
 
 def test_error_profile_validation():
@@ -336,3 +366,19 @@ def test_shared_expansions_fill_lazily():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout == "0\n"
+
+
+def test_error_profile_builds_one_shared_expansion():
+    # A profile at depth 9 builds the circular poly expand_nested_cos(9)
+    # returns, once, and nothing else.
+    src = os.path.dirname(os.path.dirname(nestrad.__file__))
+    code = ("import nestrad\n"
+            "nestrad.maclaurin_error_profile(9, 5)\n"
+            "print(nestrad.expand._build.cache_info().currsize)\n"
+            "nestrad.expand_nested_cos(9)\n"
+            "print(nestrad.expand._build.cache_info())\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout == ("1\nCacheInfo(hits=1, misses=1, maxsize=None, "
+                          "currsize=1)\n")
