@@ -4,12 +4,12 @@ The forward direction seeds a short even series at the reduced argument
 x / 2**depth and doubles the angle ``depth`` times: -1 + 2*y**2 on the
 deviation 1 - y, and Viete's sin 2t = 2 sin t cos t beside it.  Of that
 pair (c, s), cos and cosh are c, sin and sinh s, tan and tanh s/c, exp
-c + s; s is odd and entire, so no sign is restored.  The inverse
-direction runs the cosine chain backwards as a tower of square roots and
-closes with sqrt(2*(1 -+ y)) scaled by 2**depth; signs on the radicals read
-off the Gray code of k give branch k, so consecutive k differ in one sign.
-asin, atan, log and kin reach that tower through square roots, which
-forget signs: real input gets its sign back, complex input does not.
+c + s; s is odd and entire, so no sign is restored.  The inverse direction
+runs the cosine chain backwards as a tower of square roots and closes with
+sqrt(2*(1 -+ y)) scaled by 2**depth; signs on the radicals read off the Gray
+code of k give branch k, so consecutive k differ in one sign.  asin, atan,
+log and kin reach it through square roots, which forget signs: atan, asinh
+and atanh restore a real input's sign; asin returns the magnitude branch.
 """
 
 from __future__ import annotations

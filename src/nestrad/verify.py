@@ -379,24 +379,24 @@ def reproduce_table1(depth: int = 10) -> list[Table1Row]:
     first; for k < 8 every remaining outer slot is +.  converging is the
     closed-form limit (2k+1)*pi/2.
     """
-    check_depth(depth)
-    if depth < 10:
-        raise ValueError(f"table needs depth >= 10, got {depth}")
-    [(_, values)] = _towers(0.0, depth, range(8))
+    [values] = _table_towers(depth, 8, 0.0)
     rows = []
     for k, value in enumerate(values):
-        signs = gray_signs(k, depth)
-        pattern = "".join("+" if s > 0 else "-" for s in reversed(signs[:4]))
+        signs = gray_signs(k, 4)
+        pattern = "".join("+" if s > 0 else "-" for s in reversed(signs))
         rows.append(Table1Row(k, pattern, value, branch_oracle_acos(0.0, k)))
     return rows
 
 
 def reproduce_table2(depth: int = 10) -> list[Table2Row]:
     """Branches k = 0..10 of the inverse cosines of +-1, divided by pi."""
+    plus, minus = _table_towers(depth, 11, 1.0, -1.0)
+    return [Table2Row(k, plus[k] / math.pi, minus[k] / math.pi)
+            for k in range(11)]
+
+
+def _table_towers(depth: int, count: int, *ys: float) -> list[list[float]]:
     check_depth(depth)
     if depth < 10:
         raise ValueError(f"table needs depth >= 10, got {depth}")
-    [(_, plus)] = _towers(1.0, depth, range(11))
-    [(_, minus)] = _towers(-1.0, depth, range(11))
-    return [Table2Row(k, plus[k] / math.pi, minus[k] / math.pi)
-            for k in range(11)]
+    return [values for y in ys for _, values in _towers(y, depth, range(count))]

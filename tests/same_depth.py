@@ -1,4 +1,4 @@
-"""The same-depth value of a radical tower in closed form (Viete's partial product).
+"""The tests' radical towers, and their same-depth value in closed form.
 
 After m half-angle radicals the iterate of branch k is exactly cos(a/2**m),
 where a is branch k of the inverse cosine, so the closing map makes the
@@ -9,16 +9,22 @@ depth-n tower exactly
 and the acosh tower 2**(n+1) * sinh(h/2**(n+1)), with h branch k of the
 inverse hyperbolic cosine.  S_n splits a tower's error in two: the tower
 minus S_n is roundoff, S_n minus a is truncation.  The two bounds below
-are derived, not fitted.
+are derived, not fitted.  S_n is Viete's partial product.
 
-A test reference only, on the standard library: it calls sin, so no
-evaluator may ever use it.
+The literal towers: ``radicals`` is the tests' one loop of Gray-signed
+half-angle radicals.  ``literal_tower`` runs it on principal_sqrt, and
+``mp_tower`` in mpmath at the caller's working precision, beside the
+forward ``mp_chain``.  Only those two need mpmath, and they import it
+when called.
+
+A test reference only: it calls sin, so no evaluator may ever use it.
 """
 
 import cmath
 import math
 import sys
 
+from nestrad.core import principal_sqrt
 from nestrad.verify import _acos_oracle, _acosh_oracle
 
 EPS = sys.float_info.epsilon
@@ -74,3 +80,52 @@ def truncation_bound(a, depth):
         term *= r2 / ((2 * j + 2) * (2 * j + 3))
         factor += term
     return abs(a) ** 3 / (24.0 * 4.0 ** depth) * factor
+
+
+def radicals(y, depth, gray, sqrt):
+    """The iterate after ``depth`` half-angle radicals of y under sqrt.
+
+    The iterate after radical m is negated when bit m of gray is set.
+    """
+    for m in range(depth):
+        y = sqrt((y + 1.0) / 2.0)
+        if gray >> m & 1:
+            y = -y
+    return y
+
+
+def literal_tower(y, depth, gray, outer):
+    """core._tower's tower with principal_sqrt on every radical, any input."""
+    return (2.0 ** depth) * outer(radicals(y, depth, gray, principal_sqrt))
+
+
+def mp_tower(y, k, depth, hyperbolic):
+    """Branch k of the depth-``depth`` acos or acosh tower at y, in mpmath.
+
+    The formula read off the paper, independent of nestrad: the radicals
+    signed by the Gray code k ^ (k >> 1), then the closing radical scaled
+    by 2**depth.  mpmath.sqrt is principal with +i on the cut.  Negative
+    k is minus branch -k - 1.
+    """
+    import mpmath
+
+    if k < 0:
+        return -mp_tower(y, -k - 1, depth, hyperbolic)
+    v = radicals(mpmath.mpmathify(y), depth, k ^ (k >> 1), mpmath.sqrt)
+    return 2 ** depth * mpmath.sqrt(2 * (v - 1) if hyperbolic
+                                    else 2 * (1 - v))
+
+
+def mp_chain(x, depth, order):
+    """The forward chain's iterates at x, in mpmath.
+
+    The even series of ``order`` terms at x/2**depth, then ``depth``
+    literal steps -1 + 2*y**2.
+    """
+    import mpmath
+
+    t = mpmath.mpf(x) / 2 ** depth
+    ys = [sum((-t * t) ** j / mpmath.factorial(2 * j) for j in range(order))]
+    for _ in range(depth):
+        ys.append(2 * ys[-1] ** 2 - 1)
+    return ys

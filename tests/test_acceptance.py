@@ -56,6 +56,8 @@ from nestrad import (
 )
 from nestrad.cli import main as cli_main
 
+from same_depth import mp_chain, mp_tower
+
 EPS = sys.float_info.epsilon
 
 
@@ -543,59 +545,26 @@ def test_criterion_10_accuracy_statements():
     _assert_clean(failures)
 
 
-
-def _mp_tower(mpmath, y, depth, k, hyperbolic):
-    # The formula read off the paper, independent of nestrad: depth
-    # half-angle radicals, the iterate after radical m negated when bit
-    # m of the Gray code k ^ (k >> 1) is set, then the closing radical
-    # scaled by 2**depth.  mpmath.sqrt is principal with +i on the cut.
-    # Negative k is minus branch -k - 1.
-    if k < 0:
-        return -_mp_tower(mpmath, y, depth, -k - 1, hyperbolic)
-    gray = k ^ (k >> 1)
-    y = mpmath.mpmathify(y)
-    for m in range(depth):
-        y = mpmath.sqrt((y + 1) / 2)
-        if gray >> m & 1:
-            y = -y
-    return 2 ** depth * mpmath.sqrt(2 * (y - 1) if hyperbolic
-                                    else 2 * (1 - y))
-
-
-def _mp_chain(mpmath, x, depth, order):
-    # The forward formula at 60 digits: the even series of order terms at
-    # x/2**depth, then depth literal steps -1 + 2*y**2.
-    t = mpmath.mpf(x) / 2 ** depth
-    ys = [sum((-t * t) ** j / mpmath.factorial(2 * j) for j in range(order))]
-    for _ in range(depth):
-        ys.append(2 * ys[-1] ** 2 - 1)
-    return ys
-
-
 def test_pins_are_same_depth_formula_values():
     # Not a criterion: it checks that the pins of criteria 1 and 4, and the
     # last three chain entries of criterion 2, are the values of the nested
     # formula at the depth each criterion evaluates.
     mpmath = pytest.importorskip("mpmath")
-
-    def tower(y, depth, k, hyperbolic):
-        return _mp_tower(mpmath, y, depth, k, hyperbolic)
-
     with mpmath.workdps(60):
         cases = [
-            ("acos(2) at depth 10", ACOS_2_D10, tower(2, 10, 0, False)),
+            ("acos(2) at depth 10", ACOS_2_D10, mp_tower(2, 0, 10, False)),
             ("acos(2+3i) at depth 10", ACOS_2_3I_D10,
-             tower(mpmath.mpc(2, 3), 10, 0, False)),
+             mp_tower(mpmath.mpc(2, 3), 0, 10, False)),
             ("acosh(-2+3i) at depth 10", ACOSH_M2_3I_D10,
-             tower(mpmath.mpc(-2, 3), 10, 0, True)),
+             mp_tower(mpmath.mpc(-2, 3), 0, 10, True)),
         ]
         for k in range(11):
             cases.append((f"table 2, k={k} at +1", TABLE2_PLUS[k],
-                          tower(1, 25, k, False) / mpmath.pi))
+                          mp_tower(1, k, 25, False) / mpmath.pi))
             cases.append((f"table 2, k={k} at -1", TABLE2_MINUS[k],
-                          tower(-1, 25, k, False) / mpmath.pi))
+                          mp_tower(-1, k, 25, False) / mpmath.pi))
         label, _, pins = SEQUENCES[1]
-        chain = _mp_chain(mpmath, math.pi / 3, 10, 2)
+        chain = mp_chain(math.pi / 3, 10, 2)
         for i in (8, 9, 10):
             cases.append((f"{label}, entry {i}", pins[i], chain[i]))
         failures = []
@@ -621,7 +590,7 @@ def test_acosh_branch_oracle_is_the_formulas_branch():
         for z in zs:
             for k in range(-4, 9):
                 oracle = eval_report("acosh", z, branch=k).oracle_value
-                exact = complex(_mp_tower(mpmath, z, 25, k, True))
+                exact = complex(mp_tower(z, k, 25, True))
                 dev = abs(oracle - exact) / max(abs(exact), 1.0)
                 if not dev <= 1e-12:
                     failures.append(f"acosh({z}) branch {k}: oracle {oracle!r}, "

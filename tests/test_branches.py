@@ -185,13 +185,6 @@ def test_extract_branch_halfturn_points():
         1.0, abs=1e-15)
 
 
-def test_branch_extraction_large_branch_pins():
-    assert extract_branch(nested_acos_branch(0.0, 100, 25)) == pytest.approx(
-        100.000014188946, rel=1e-9)
-    assert nested_acos_branch(2 + 3j, 10 ** 6, 30).real / math.pi == \
-        pytest.approx(999999.961666679, rel=1e-9)
-
-
 def test_branch_oracle_closed_form():
     for k in range(6):
         assert branch_oracle_acos(0.0, k) == pytest.approx(

@@ -97,17 +97,6 @@ def test_format_scalar():
     assert fmt_scalar(-0.0) == "0"
 
 
-def test_eval_plain_output():
-    code, out, err = run_cli(["eval", "acos", "0"])
-    assert code == 0 and err == ""
-    assert out == (
-        "value 1.57079617280554\n"
-        "oracle 1.5707963267949\n"
-        "abs_error 1.53989358153694e-07\n"
-        "rel_error 9.80326701348349e-08\n"
-    )
-
-
 def test_eval_json_output():
     code, out, err = run_cli(["eval", "acos", "0", "--json"])
     assert code == 0
@@ -269,22 +258,6 @@ def test_sweep_text_is_fmt_real_of_the_rows(kmax, step, depth):
     assert_bitwise_equal(rows, want)
     assert_bitwise_equal(out.splitlines(keepends=True), ["k,extracted,abs_dev\n"]
                          + [f"{k},{fmt_real(e)},{fmt_real(d)}\n" for k, e, d in rows])
-
-
-def test_table1_layout():
-    code, out, _ = run_cli(["table1"])
-    assert code == 0
-    assert out == (
-        "signs   value               limit\n"
-        "++++    1.57079617280554    pi/2\n"
-        "+++-    4.71238482211346    3pi/2\n"
-        "++--    7.85396238275436    5pi/2\n"
-        "++-+    10.9955214622637    7pi/2\n"
-        "+--+    14.1370546682508    9pi/2\n"
-        "+---    17.2785546083716    11pi/2\n"
-        "+-+-    20.4200138903909    13pi/2\n"
-        "+-++    23.5614251221471    15pi/2\n"
-    )
 
 
 def test_table2_layout():

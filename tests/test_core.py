@@ -42,6 +42,7 @@ from nestrad import core
 from nestrad.core import _climb, _gray_tree, _tower, _towers
 
 from bitwise import assert_bitwise_equal
+from same_depth import literal_tower
 
 EPS = sys.float_info.epsilon
 
@@ -564,16 +565,6 @@ def test_towers_fused_runs_of_set_bits(y):
     assert_bitwise_equal(_climb(_gray_tree(y, 9), grays, 25), want)
 
 
-def _literal_tower(y, depth, gray, outer):
-    # Reference: the tower with principal_sqrt on every radical, whatever
-    # the input.
-    for m in range(depth):
-        y = principal_sqrt((y + 1.0) / 2.0)
-        if gray >> m & 1:
-            y = -y
-    return (2.0 ** depth) * outer(y)
-
-
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -625,7 +616,7 @@ def test_tower_matches_literal_loop(depth, monkeypatch):
     per_input = len(got) // len(_TOWER_INPUTS)
     assert all(o.startswith(("TypeError: ", "ValueError: branch index"))
                for o in got[-3 * per_input:])
-    monkeypatch.setattr(core, "_tower", _literal_tower)
+    monkeypatch.setattr(core, "_tower", literal_tower)
     assert got == _tower_outcomes(depth)
 
 

@@ -165,7 +165,7 @@ def test_atanh_pole(y):
 def test_asin_atanh_above_one_land_on_the_conjugate_sheet(y):
     # For real y > 1 both evaluators return the conjugate of cmath's
     # value, which the eval oracles use, so eval reports the gap between
-    # the sheets as error (ROADMAP item 7).  Each value stays within its
+    # the sheets as error (ROADMAP item 20).  Each value stays within its
     # tower's truncation plus roundoff bound of that conjugate.
     for fn, ref in ((nested_asin, cmath.asin), (nested_atanh, cmath.atanh)):
         v, a = fn(y, 10), ref(y).conjugate()

@@ -445,6 +445,8 @@ def test_table1_reproduction():
     rows = reproduce_table1(10)
     assert [r.k for r in rows] == list(range(8))
     assert [r.pattern for r in rows] == TABLE1_PATTERNS
+    for depth in (31, 1023):
+        assert [r.pattern for r in reproduce_table1(depth)] == TABLE1_PATTERNS
     for row, expected in zip(rows, TABLE1_VALUES):
         assert row.value == pytest.approx(expected, rel=1e-12)
         assert row.converging == pytest.approx(
