@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import _is_int
 
@@ -29,7 +29,7 @@ __all__ = [
 #: Coefficient count 2**depth + 1 and bit-lengths grow geometrically.  From
 #: depth 10 on, denominators pass Python's 4300-digit int-to-str limit, so
 #: the CLI prints them only if PYTHONINTMAXSTRDIGITS lifts it.  Depths 1..9
-#: are built once per process (1.16 MB for all 18 polys with float tables,
+#: are built once per process (1.24 MB for all 18 polys with evaluators,
 #: CPython 3.11); keeping 10..12 too would hold 77 MB, 29.5 MB at depth 12.
 EXPANSION_DEPTH_CAP = 12
 _ZERO = Fraction(0)
@@ -68,18 +68,33 @@ class RationalPoly:
         top = next((i for i, c in enumerate(floats) if c), 0)
         return tuple(floats[top:])
 
-    def evaluate(self, x: float) -> float:
-        """Floating-point Horner evaluation in u = x**2.
+    @cached_property
+    def evaluate(self) -> Callable[[float], float]:
+        """Floating-point Horner evaluation in u = x**2: poly.evaluate(x).
 
-        Coefficients go to float on the first call, once per polynomial and
-        so once per process for expand_nested_cos at depth <= 9.  Top ones
-        that are 0.0 as floats are skipped: from depth 7 on 88-89 are summed.
+        On first use, once per poly, the coefficients go to float (top
+        0.0s dropped: from depth 7 on 88-89 remain) and are bound to a
+        straight-line evaluator compiled once per process per length.
         """
-        u = x * x
-        acc = 0.0
-        for c in self._horner:
-            acc = acc * u + c
-        return acc
+        return _horner_maker(len(self._horner))(*self._horner)
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy the coefficients alone: an evaluator cannot be.
+        return {"coeffs": self.coeffs}
+
+
+@lru_cache(maxsize=None)
+def _horner_maker(n: int) -> Callable[..., Callable[[float], float]]:
+    # make(c0, ..., c<n-1>) returns evaluate(x): acc = acc * u + c from
+    # acc = 0.0 written out, 32 nested terms a statement (the parser nests
+    # 200 parentheses at most).  Closure cells, not text, hold the floats.
+    names = [f"c{i}" for i in range(n)]
+    steps = [f"  acc = {'(' * len(cs)}acc{''.join(f' * u + {c})' for c in cs)}"
+             for cs in (names[i:i + 32] for i in range(0, n, 32))]
+    code = [f"def make({', '.join(names)}):", " def evaluate(x):", "  u = x * x",
+            "  acc = 0.0", *steps, "  return acc", " return evaluate"]
+    exec("\n".join(code), scope := {})
+    return scope["make"]
 
 
 def _check(depth: int, variant: str) -> None:

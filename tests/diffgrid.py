@@ -18,8 +18,10 @@ The sections:
   calls     every public function called directly, bad depths, seed
             orders, branch indices, widths and limit indices included;
   expand    str of every coefficient at depths 1..9 in both variants,
-            maclaurin_error_profile at depths 1..12 for max_j 1..12 (and
-            2**d - 1, 2**d and 2**d + 3 up to depth 8), and bad arguments.
+            evaluate at 11 points (signed zero, inf, nan, 1e200 and complex
+            ones) at depths 1..10, maclaurin_error_profile at depths 1..12
+            for max_j 1..12 (and 2**d - 1, 2**d and 2**d + 3 up to depth 8),
+            and bad arguments.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ DEPTHS = range(1, 31)
 SEED_ORDERS = range(1, 5)
 EDGE_DEPTHS = [0, -1, 2.5, True, "3", 1023, 1024]  # at and past the bounds
 BAD_INTS = [0, -1, 2.5, True, None]
+# Signed zero, nan, overflow of u = x*x and complex u with Re(u) < 0 too.
+EVAL_XS = [0.0, -0.0, 0.5, -1.0, 3.0, 100.0, 1e200, float("inf"), float("nan"),
+           1 + 2j, -0.5 - 3j]
 
 
 def outcome(fn, *args, **kwargs) -> str:
@@ -142,15 +147,16 @@ def _calls() -> Iterator[str]:
 
 def _expand() -> Iterator[str]:
     for variant in ("circular", "hyperbolic"):
-        for depth in range(1, 10):
+        for depth in range(1, 11):
             poly = expand_nested_cos(depth, variant)
             call = f"expand_nested_cos({depth}, {variant!r})"
-            yield f"len({call}) -> {len(poly)}"
-            for j, c in enumerate(poly.coeffs):
-                yield f"str({call}.coeffs[{j}]) -> {c}"
-            for j in (len(poly), -1, 2.5, True):
-                yield f"{call}.{outcome(poly.coefficient, j)}"
-            for x in (0.0, 0.5, -1.0, 3.0, 100.0, float("inf")):
+            if depth <= 9:  # depth 10's coefficients pass the int-to-str limit
+                yield f"len({call}) -> {len(poly)}"
+                for j, c in enumerate(poly.coeffs):
+                    yield f"str({call}.coeffs[{j}]) -> {c}"
+                for j in (len(poly), -1, 2.5, True):
+                    yield f"{call}.{outcome(poly.coefficient, j)}"
+            for x in EVAL_XS:
                 yield f"{call}.{outcome(poly.evaluate, x)}"
     for depth in range(1, 13):
         n = 2 ** depth

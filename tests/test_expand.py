@@ -1,7 +1,9 @@
 """Exact rational expansion of the doubled polynomial chain."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nestrad
 from nestrad import (
@@ -20,29 +24,6 @@ from nestrad import (
     nested_cos,
 )
 from nestrad.expand import _build
-
-
-def test_single_level_coefficients():
-    assert expand_nested_cos(1).coeffs == (
-        Fraction(1), Fraction(-1, 2), Fraction(1, 32))
-
-
-def test_two_level_coefficients():
-    assert expand_nested_cos(2).coeffs == (
-        Fraction(1), Fraction(-1, 2), Fraction(5, 128),
-        Fraction(-1, 1024), Fraction(1, 131072))
-
-
-def test_three_level_low_order_coefficients():
-    p = expand_nested_cos(3)
-    assert p.coefficient(2) == Fraction(21, 512)
-    assert p.coefficient(3) == Fraction(-21, 16384)
-    assert p.coefficient(4) == Fraction(165, 8388608)
-
-
-@pytest.mark.parametrize("depth", range(1, 9))
-def test_coefficient_count(depth):
-    assert len(expand_nested_cos(depth)) == 2 ** depth + 1
 
 
 def test_hyperbolic_variant_seed_sign():
@@ -306,6 +287,48 @@ def test_evaluate_drops_only_top_float_zeros(coeffs):
     for x in EVAL_XS:
         assert repr(poly.evaluate(x)) == repr(
             _evaluate_reference(coeffs, x)), x
+
+
+INF, NAN = math.inf, math.nan
+# Coefficients: exact Fractions, Fractions below half the least subnormal
+# (float() gives +-0.0) and raw floats, non-finite ones and -0.0 included.
+SPECIAL = (0.0, -0.0, INF, -INF, NAN, 1e200)
+COEFFS = st.one_of(
+    st.builds(Fraction, st.integers(-2 ** 60, 2 ** 60), st.integers(1, 2 ** 60)),
+    st.builds(lambda n, e: Fraction(n, 2 ** e), st.integers(-2 ** 20, 2 ** 20),
+              st.integers(1100, 1200)),
+    st.sampled_from(SPECIAL), st.floats())
+PARTS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+XS = st.one_of(PARTS, st.builds(complex, PARTS, PARTS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(COEFFS, min_size=1, max_size=300), st.lists(XS, min_size=1, max_size=8))
+@example([1.0] * 5000, [0.0, -0.0, 0.5, 1.0, 1e200, INF, NAN, 1 + 2j, -0.5 - 3j])
+@example([-0.0], [1j, 1 + 2j, -0.5 - 3j])
+def test_evaluate_is_bitwise_the_per_call_loop(coeffs, xs):
+    # Each table length gets its own straight-line evaluator, 32 terms to
+    # a statement; each is bitwise the loop over every float coefficient.
+    # [-0.0] at Re(u) < 0 pins a -0.0 real part: 0.0 * u has one there,
+    # and -0.0 + -0.0 is -0.0, so any extra + 0.0 would show.
+    if len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs[-1] = 1.0
+    poly = RationalPoly(coeffs)
+    for x in xs:
+        assert repr(poly.evaluate(x)) == repr(_evaluate_reference(coeffs, x)), x
+
+
+def test_evaluated_polys_pickle_and_copy():
+    # The evaluator a poly caches on first use cannot be pickled; pickling
+    # and copying take the coefficients, and the copy builds its own.
+    for poly in (expand_nested_cos(5), expand_nested_cos(10)):
+        poly.evaluate(0.5)
+        for twin in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly),
+                     copy.copy(poly)):
+            assert twin == poly and twin is not poly
+            assert "evaluate" not in vars(twin)
+            for x in EVAL_XS:
+                assert repr(twin.evaluate(x)) == repr(poly.evaluate(x)), x
 
 
 def test_horner_sums_only_float_nonzero_coefficients():
