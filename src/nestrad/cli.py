@@ -6,16 +6,17 @@ to "0".  Exit codes: 0 success, 2 argument or validation error, 3
 numeric error (overflow or pole).
 
 A call that starts with a command name is parsed by that command's
-parser alone: one ArgumentParser instead of the full tree's eight,
-because building parsers, not evaluating, is most of a short call.
-Top-level help, unknown or abbreviated commands and leftover arguments
-go through the full tree, so every message reads as it did.
+parser alone, which a process builds once and reuses, because building
+parsers, not evaluating, is most of a short call.  Top-level help,
+unknown or abbreviated commands and leftover arguments go through the
+full tree, built afresh, so every message reads as it did.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import re
 import sys
 from itertools import chain, islice
@@ -266,19 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    # The parser the full tree builds for the command (same class, prog and
+    # arguments), so its help and errors print the same.  Reuse is safe: each
+    # parse makes a new Namespace; COLUMNS and the streams are read on print.
+    _, add_args, handler = _COMMANDS[name]
+    parser = _Parser(prog=f"nestrad {name}")
+    add_args(parser)
+    parser.set_defaults(command=name, handler=handler)
+    return parser
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    # A call that names a command first is parsed by that command's parser
-    # alone.  It is the parser the full tree builds for the command (same
-    # class, prog and arguments), so its help and errors print the same.
-    # Anything else, leftover arguments included, goes through the full
-    # tree, which prints the root usage and exits.
+    # Anything but a command name with no leftovers goes through the full tree.
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        _, add_args, handler = _COMMANDS[name]
-        parser = _Parser(prog=f"nestrad {name}")
-        add_args(parser)
-        parser.set_defaults(command=name, handler=handler)
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
     return build_parser().parse_args(argv)

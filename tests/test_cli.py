@@ -298,12 +298,6 @@ def test_expand_hyperbolic():
     assert out == "j,coefficient\n0,1\n1,1/2\n2,1/32\n"
 
 
-def test_signs_default_outermost_first():
-    code, out, _ = run_cli(["signs", "--branch", "100", "--width", "25"])
-    assert code == 0
-    assert out == "++++++++++++++++++-+-+--+\n"
-
-
 def test_signs_inner_first():
     code, out, _ = run_cli(["signs", "--branch", "2", "--width", "4",
                             "--inner-first"])

@@ -61,8 +61,20 @@ def test_every_command_has_a_successful_record():
 
 def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
     # main parses a call that names a command with that command's parser
-    # alone; on every recorded argv that the full tree accepts, the
-    # namespace must not change, and main must build exactly one parser.
+    # alone, built on its first use in a process and reused after.  On the
+    # recorded argvs that the full tree accepts, a fresh cache builds one
+    # parser per command, in order of first use; a second pass builds none,
+    # and every namespace is the full tree's.
+    accepted = []
+    for argv in (r["argv"] for r in RECORDS):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                accepted.append((argv, vars(build_parser().parse_args(argv))))
+        except SystemExit:
+            continue
+    assert len(accepted) == 35
+    assert build_parser() is not build_parser()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -70,22 +82,27 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    parsed = 0
-    for argv in (r["argv"] for r in RECORDS):
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                want = vars(build_parser().parse_args(argv))
-        except SystemExit:
-            continue
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._command_parser.cache_clear()
+    for argv, _ in accepted:
+        transcript(argv)
+    first_use = dict.fromkeys(argv[0] for argv, _ in accepted)
+    assert built == [f"nestrad {name}" for name in first_use]
+    assert sorted(first_use) == sorted(cli._COMMANDS)
+    built.clear()
+    for argv, want in accepted:
+        transcript(argv)
         assert vars(cli._parse(argv)) == want, argv
-        with monkeypatch.context() as m:
-            m.setattr(argparse.ArgumentParser, "__init__", counting_init)
-            built.clear()
-            transcript(argv)
-        assert built == [f"nestrad {argv[0]}"], argv
-        parsed += 1
-    assert parsed == 35
+    assert built == []
+
+
+def test_records_replay_byte_identical_twice_in_one_process():
+    # Every call in a process shares the cached command parsers: help,
+    # argparse's error exits and SystemExit must leave nothing in them that
+    # a later call sees.  The second pass runs the records in reverse.
+    cli._command_parser.cache_clear()
+    for record in [*RECORDS, *reversed(RECORDS)]:
+        assert transcript(record["argv"]) == record
 
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the
