@@ -6,10 +6,12 @@ to "0".  Exit codes: 0 success, 2 argument or validation error, 3
 numeric error (overflow or pole).
 
 A call that starts with a command name is parsed by that command's
-parser alone, which a process builds once and reuses, because building
-parsers, not evaluating, is most of a short call.  Top-level help,
-unknown or abbreviated commands and leftover arguments go through the
-full tree, built afresh, so every message reads as it did.
+parser alone, which a process builds on its first call and reuses: for
+a program that calls main() many times, building parsers, not
+evaluating, was most of a short call.  A one-shot `nestrad` call builds
+its one parser as before.  Top-level help, unknown or abbreviated
+commands and leftover arguments go through the full tree, built afresh,
+so every message reads as it did.
 """
 
 from __future__ import annotations

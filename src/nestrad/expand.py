@@ -64,13 +64,9 @@ class RationalPoly:
         # Not a dataclass field, so ==, hash and repr ignore it.  Top 0.0s
         # are dropped: from acc = 0.0 they leave acc a zero (nan at infinite
         # u), and the next c then gives 0*u + c, as it would without them.
-        # n/d with d 1076+ bits longer than n is under 2**-1075: 0.0 without float().
-        rev = self.coeffs[::-1]
-        top = next((i for i, c in enumerate(rev) if not (
-            isinstance(c, Fraction)
-            and c.denominator.bit_length() - c.numerator.bit_length() >= 1076)
-            and float(c)), 0)
-        return tuple(map(float, rev[top:]))
+        floats = [float(c) for c in reversed(self.coeffs)]
+        top = next((i for i, c in enumerate(floats) if c), 0)
+        return tuple(floats[top:])
 
     @cached_property
     def evaluate(self) -> Callable[[float], float]:
