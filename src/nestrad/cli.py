@@ -6,12 +6,12 @@ to "0".  Exit codes: 0 success, 2 argument or validation error, 3
 numeric error (overflow or pole).
 
 A call that starts with a command name is parsed by that command's
-parser alone, which a process builds on its first call and reuses: for
-a program that calls main() many times, building parsers, not
-evaluating, was most of a short call.  A one-shot `nestrad` call builds
-its one parser as before.  Top-level help, unknown or abbreviated
-commands and leftover arguments go through the full tree, built afresh,
-so every message reads as it did.
+parser alone, which a process builds on its first call and reuses;
+top-level help, unknown or abbreviated commands and leftover arguments
+go through the full tree, built afresh, so every message reads as it
+did.  Importing the CLI loads core and verify, not expand: only the
+expand command needs exact arithmetic (fractions), and it loads that
+module on its first call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import sys
 from itertools import chain, islice
 
 from .core import DEPTH_MAX, Scalar, gray_signs
-from .expand import expand_nested_cos
 from .verify import (
     FUNCTIONS,
     converge,
@@ -162,6 +161,7 @@ def _cmd_table2(args: argparse.Namespace) -> None:
 
 
 def _cmd_expand(args: argparse.Namespace) -> None:
+    from .expand import expand_nested_cos
     variant = "hyperbolic" if args.hyperbolic else "circular"
     coeffs = expand_nested_cos(args.depth, variant).coeffs
     try:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "DEPTH_MAX",

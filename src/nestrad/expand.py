@@ -11,11 +11,11 @@ divides exactly and gives odd numerators over powers of two, lowest terms.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from typing import Callable, Iterator
 
 from .core import _is_int
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterator
 
 from .core import (
     EvalConfig,

@@ -37,17 +37,6 @@ def test_innermost_four_slots_small_branches(k, pattern):
     assert all(s == 1 for s in signs[4:])
 
 
-def test_sign_sequence_branch_100_width_25():
-    expected = tuple([1] * 18 + [-1, 1, -1, 1, -1, -1, 1])
-    assert tuple(reversed(gray_signs(100, 25))) == expected
-
-
-def test_sign_sequence_branch_million_width_25():
-    expected = (1, 1, 1, 1, 1, -1, 1, 1, 1, -1, -1, -1, 1,
-                1, 1, -1, -1, 1, -1, -1, 1, 1, 1, 1, 1)
-    assert tuple(reversed(gray_signs(10 ** 6, 25))) == expected
-
-
 def test_sign_sequence_range_errors():
     with pytest.raises(ValueError, match="0 <= k < 8"):
         gray_signs(8, 4)

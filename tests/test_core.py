@@ -152,16 +152,6 @@ def test_outer_maps():
     assert acosh_outer(0.0) == complex(0.0, math.sqrt(2.0))
 
 
-@pytest.mark.parametrize("depth,order,expected", [
-    (4, 2, 0.499838043607131),
-    (10, 2, 0.499999960463562),
-    (4, 4, 0.499999999998225),
-])
-def test_cos_third_of_pi(depth, order, expected):
-    assert nested_cos(math.pi / 3, EvalConfig(depth, order)) == pytest.approx(
-        expected, rel=1e-10)
-
-
 SEQ_THIRD_D4_O2 = [
     0.997858158767125, 0.991441810036233, 0.965913725375842,
     0.865978649738875, 0.499838043607131,
@@ -277,16 +267,6 @@ def test_cosh_iterate_sequence():
     seq = nested_cosh_sequence(1.5, cfg)
     assert len(seq) == 7
     assert repr(seq[-1]) == repr(nested_cosh(1.5, cfg))
-
-
-@pytest.mark.parametrize("y,depth,expected,tol", [
-    (0.0, 4, 1.570165578477370, 1e-10),
-    (0.5, 4, 1.047010650296843, 1e-10),
-    (0.0, 10, 1.570796172805538, 1e-10),
-    (0.5, 10, 1.047197505529385, 1e-10),
-])
-def test_acos_real_goldens(y, depth, expected, tol):
-    assert nested_acos(y, depth) == pytest.approx(expected, rel=tol)
 
 
 @pytest.mark.parametrize("depth", [1, 5, 10, 25, 30])

@@ -379,16 +379,19 @@ def test_rejected_arguments_never_reach_the_shared_expansions():
 
 
 def test_shared_expansions_fill_lazily():
-    # Importing the package and the CLI and building the parser expand
-    # nothing: the first expand_nested_cos call of a depth builds it.
+    # Importing the package and the CLI and building the parser do not
+    # load expand at all; imported explicitly, it has expanded nothing:
+    # the first expand_nested_cos call of a depth builds it.
     src = os.path.dirname(os.path.dirname(nestrad.__file__))
-    code = ("import nestrad, nestrad.cli\n"
+    code = ("import sys, nestrad, nestrad.cli\n"
             "nestrad.cli.build_parser()\n"
+            "print('nestrad.expand' in sys.modules)\n"
+            "import nestrad.expand\n"
             "print(nestrad.expand._build.cache_info().currsize)\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout == "0\n"
+    assert out.stdout == "False\n0\n"
 
 
 def test_error_profile_builds_one_shared_expansion():

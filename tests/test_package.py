@@ -1,8 +1,12 @@
 """The package's public surface: the names it exports and where they live."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 import nestrad
 from nestrad import core, expand, verify
@@ -39,8 +43,47 @@ def test_each_public_name_is_its_defining_modules_object():
             assert name not in owners, f"{name} exported by two modules"
             owners[name] = module
     assert set(owners) == PUBLIC
+    # __init__ lists expand's names itself, so that importing the package
+    # need not load expand; the list is expand.__all__, in its order.
+    assert list(nestrad._EXPAND) == expand.__all__
     for name, module in owners.items():
         assert getattr(nestrad, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_public_name():
+    scope = {}
+    exec("from nestrad import *", scope)
+    assert set(scope) - {"__builtins__"} == PUBLIC
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(nestrad, "no_such_name")
+
+
+def test_import_loads_no_expansion():
+    # Against the modules a fresh interpreter starts with, importing the
+    # package and the CLI and building the full parser add none of expand,
+    # the fractions and decimal it needs, or typing.  The first read of an
+    # expand name loads it and binds the name in the package dict, so later
+    # reads are plain attribute lookups.
+    code = ("import sys\n"
+            "bare = set(sys.modules)\n"
+            "import nestrad, nestrad.cli\n"
+            "nestrad.cli.build_parser()\n"
+            "print(*sorted(set(sys.modules) - bare))\n"
+            "print('expand_nested_cos' in vars(nestrad))\n"
+            "f = nestrad.expand_nested_cos\n"
+            "print(f is nestrad.expand.expand_nested_cos,\n"
+            "      'expand_nested_cos' in vars(nestrad))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nestrad.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    added, before, after = out.stdout.splitlines()
+    added = set(added.split())
+    assert "nestrad.cli" in added
+    assert not added & {"nestrad.expand", "fractions", "decimal", "typing"}
+    assert (before, after) == ("False", "True True")
 
 
 def _modules():
