@@ -2,8 +2,10 @@
 
 Output is deterministic: 15 significant digits (repr for the largest
 floats), complex values as a+bi / a-bi with no spaces, zeros normalized
-to "0".  Exit codes: 0 success, 2 argument or validation error, 3
-numeric error (overflow or pole).
+to "0".  Exit codes: 0 success, 1 output cut short (stdout closed, as by
+| head, or a failed sweep worker), 2 argument or validation error, 3
+numeric error (overflow or pole).  A sweep of more than 4096 rows runs
+on every CPU the process may use, in forked workers, byte for byte.
 
 A call that starts with a command name is parsed by that command's
 parser alone, which a process builds on its first call and reuses;
@@ -19,8 +21,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import os
 import re
 import sys
+import threading
+from collections.abc import Iterable
 from itertools import chain, islice
 
 from .core import DEPTH_MAX, Scalar, gray_signs
@@ -134,14 +139,72 @@ def _cmd_converge(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     rows = sweep_branches(args.kmax, args.step, args.depth)
     print("k,extracted,abs_dev")
-    # One format and one print per batch of 4096 rows.  "%.15g" is fmt_real
-    # here: it differs only on -0.0 and next to the float maximum, which
-    # neither column can hold, since abs() never returns -0.0, x - 0.5 is
-    # never -0.0 under round-to-nearest, and both stay below 4.5e307: with
-    # the top Gray bit clear a closing value is at most 2**DEPTH_MAX *
-    # sqrt(2), so extracted < 4.1e307, and k < 2**(DEPTH_MAX - 1).
-    while fields := tuple(chain.from_iterable(islice(rows, 4096))):
-        print(("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields, end="")
+    # On W CPUs chunk j of 4096 rows is worker j % W's, and the parent,
+    # worker 0, prints the chunks in order.  A child sends each of its own
+    # down a pipe as its length in 8 bytes and its text; the pipe's
+    # back-pressure keeps one chunk of text per process.
+    starts = range(0, args.kmax + 1, 4096 * args.step)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    # A fork beside other threads could copy a lock one of them holds.
+    workers = (min(cpus, len(starts)) if hasattr(os, "fork")
+               and threading.active_count() == 1 else 1)
+    if workers == 1:  # one sweep, whose one Gray tree serves every chunk
+        while text := _text(islice(rows, 4096)):
+            print(text, end="")
+        return
+    readers, pids = [], []
+    try:
+        for w in range(1, workers):
+            r, fd = os.pipe()
+            if not (pid := os.fork()):  # a child: it never touches sys.stdout
+                try:
+                    os.close(r)
+                    with open(fd, "wb") as pipe:
+                        for k in starts[w::workers]:
+                            text = _chunk(args, k)
+                            pipe.write(len(text).to_bytes(8, "big") + text.encode())
+                    os._exit(0)
+                finally:  # reached only if the child failed
+                    os._exit(1)
+            pids.append(pid)
+            os.close(fd)
+            readers.append(open(r, "rb"))
+        for j, k in enumerate(starts):
+            if j % workers:
+                f = readers[j % workers - 1]
+                size = int.from_bytes(f.read(8), "big")
+                text = f.read(size).decode()
+                if not text or len(text) < size:
+                    raise ChildProcessError("a sweep worker stopped before its rows")
+            else:
+                text = _chunk(args, k)
+            print(text, end="")
+    finally:
+        for f in readers:
+            f.close()
+        status = max((os.waitpid(pid, 0)[1] for pid in pids), default=0)
+    if status:
+        raise ChildProcessError("a sweep worker exited with status "
+                                f"{os.waitstatus_to_exitcode(status)}")
+
+
+def _chunk(args: argparse.Namespace, k: int) -> str:
+    # The chunk of rows from branch k on.  A row's bits depend only on its
+    # k, so no split of the sweep moves a byte.
+    last = min(args.kmax, k + 4095 * args.step)
+    return _text(sweep_branches(last, args.step, args.depth, k_min=k))
+
+
+def _text(rows: Iterable[tuple[int, float, float]]) -> str:
+    # One format for a chunk.  "%.15g" is fmt_real here: it differs only on
+    # -0.0 and next to the float maximum, which neither column can hold,
+    # since abs() never returns -0.0, x - 0.5 is never -0.0 under
+    # round-to-nearest, and both stay below 4.5e307: with the top Gray bit
+    # clear a closing value is at most 2**DEPTH_MAX * sqrt(2), so extracted
+    # < 4.1e307, and k < 2**(DEPTH_MAX - 1).
+    fields = tuple(chain.from_iterable(rows))
+    return ("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
@@ -296,10 +359,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     try:
         args.handler(args)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, ZeroDivisionError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout (| head).  As Python's signal docs
+        # advise, stdout then goes to devnull, so exit flushes quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0

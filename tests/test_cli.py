@@ -1,20 +1,24 @@
 """Command line: scalar parsing, formatting, frozen outputs, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import nestrad
 from nestrad import extract_branch, nested_acos_branch, sweep_branches
+from nestrad import cli
 from nestrad.cli import _parse_depths, fmt_real, fmt_scalar, main, parse_scalar
 
 from bitwise import assert_bitwise_equal
+from test_cli_golden import SWEEP_16K_SHA256
 
 
 def run_cli(argv):
@@ -258,6 +262,217 @@ def test_sweep_text_is_fmt_real_of_the_rows(kmax, step, depth):
     assert_bitwise_equal(rows, want)
     assert_bitwise_equal(out.splitlines(keepends=True), ["k,extracted,abs_dev\n"]
                          + [f"{k},{fmt_real(e)},{fmt_real(d)}\n" for k, e, d in rows])
+
+
+def _cpus(monkeypatch, n):
+    # The CPUs the sweep may run on, as os.sched_getaffinity reports them.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _count_forks(monkeypatch):
+    # Wrap os.fork to count the workers the sweep starts.
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_SWEEPS = [
+    # Four full chunks at depth 25.
+    ("16383", "1", "25"),
+    # 20,001 and 9,001 rows at their shallowest depths: the last chunk is
+    # short.
+    ("20000", "1", "16"), ("9000", "1", "15"),
+    # Step 3: 10,001 rows in three chunks, each spanning 12,288 indices.
+    ("30000", "3", "16"),
+]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+@pytest.mark.parametrize("kmax, step, depth", SPLIT_SWEEPS)
+def test_sweep_on_several_cpus_is_byte_identical(monkeypatch, cpus, kmax, step, depth):
+    # Chunk j of 4096 rows is worker j % W's, W the smaller of the CPUs and
+    # the chunks; one CPU takes the serial path.
+    argv = ["sweep", "--kmax", kmax, "--step", step, "--depth", depth]
+    _cpus(monkeypatch, 1)
+    forks = _count_forks(monkeypatch)
+    serial = run_cli(argv)
+    assert (serial[0], serial[2], forks) == (0, "", [])
+    _cpus(monkeypatch, cpus)
+    assert run_cli(argv) == serial
+    chunks = -(-len(range(0, int(kmax) + 1, int(step))) // 4096)
+    assert len(forks) == min(cpus, chunks) - 1
+    _no_child_left()
+
+
+def test_sweep_falls_back_to_cpu_count(monkeypatch):
+    # Without sched_getaffinity the CPU count decides: three CPUs split the
+    # pinned sweep three ways, an unknown count keeps it serial.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    forks = _count_forks(monkeypatch)
+    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
+    for cpus, forked in [(3, 2), (None, 0)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, err = run_cli(argv)
+        assert (code, err, len(forks)) == (0, "", forked)
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_16K_SHA256
+        forks.clear()
+    _no_child_left()
+
+
+def test_sweep_stays_in_process_without_fork_or_beside_threads(monkeypatch):
+    argv = ["sweep", "--kmax", "9000", "--depth", "15"]
+    want = run_cli(argv)
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert run_cli(argv) == want
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(argv) == want
+
+
+def test_sweep_child_failure_fails_the_command(monkeypatch):
+    # A child that raises before its first frame: the parent reads a short
+    # frame, prints no more rows and exits 1 with a message.
+    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
+    _cpus(monkeypatch, 2)
+    parent, sweep = os.getpid(), cli.sweep_branches
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep_branches", failing)
+    code, out, err = run_cli(argv)
+    assert (code, err) == (1, "error: a sweep worker stopped before its rows\n")
+    assert len(out.splitlines()) == 1 + 4096
+    _no_child_left()
+
+
+def test_sweep_child_exit_status_fails_the_command(monkeypatch):
+    # Every frame arrives, but a child exits 7: the rows print and the
+    # command still fails, so no caller takes the output for a clean run.
+    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
+    want = run_cli(argv)[1]
+    _cpus(monkeypatch, 3)
+    real_exit = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: real_exit(7))
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, want)
+    assert err == "error: a sweep worker exited with status 7\n"
+    _no_child_left()
+
+
+class _Exit(BaseException):
+    pass
+
+
+def test_sweep_child_branch_in_process(monkeypatch, tmp_path):
+    # Run the child's side of the fork in this process: fork returns 0, the
+    # pipe's write end is a file and os._exit raises.  The child sends
+    # chunks 1 and 3 as frames, each its length in 8 bytes and its text,
+    # then exits 0; a real os._exit never returns, so the exit 1 of its
+    # failure path runs only here.
+    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
+    chunks = run_cli(argv)[1].splitlines(keepends=True)[1:]
+    want = ["".join(chunks[j * 4096:(j + 1) * 4096]) for j in (1, 3)]
+    _cpus(monkeypatch, 2)
+    frames = tmp_path / "frames"
+    exits = []
+
+    def exit_(code):
+        exits.append(code)
+        raise _Exit
+
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(os, "pipe", lambda: (
+        os.open(os.devnull, os.O_RDONLY),
+        os.open(frames, os.O_WRONLY | os.O_CREAT)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(_Exit):
+        main(argv)
+    assert (exits, out.getvalue()) == ([0, 1], "k,extracted,abs_dev\n")
+    data, got = frames.read_bytes(), []
+    while data:
+        size = int.from_bytes(data[:8], "big")
+        got.append(data[8:8 + size].decode())
+        data = data[8 + size:]
+    assert got == want
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nestrad.__file__)))
+
+
+# A sweep that forks on two CPUs and a call whose output fits one buffer.
+CLOSED_STDOUT_CALLS = [["sweep", "--kmax", "16383", "--depth", "25"],
+                       ["eval", "cos", "0.5"]]
+
+
+def _closed_pipe():
+    # A pipe whose reader is gone: the first write to w raises EPIPE.
+    r, w = os.pipe()
+    os.close(r)
+    return w
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_CALLS)
+def test_closed_stdout_exits_1_quietly(argv):
+    # As with "| head -0": no traceback, no "Exception ignored" line, and
+    # no process left in the command's process group.
+    w = _closed_pipe()
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "nestrad", *argv],
+                                stdout=w, stderr=subprocess.PIPE,
+                                env=_src_env(), start_new_session=True)
+    finally:
+        os.close(w)
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (1, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_CALLS)
+def test_closed_stdout_in_process(monkeypatch, argv):
+    # main() returns 1 with nothing on stderr and every child reaped, and
+    # stdout's descriptor now writes to devnull: closing it raises nothing.
+    _cpus(monkeypatch, 2)
+    stdout, err = open(_closed_pipe(), "w"), io.StringIO()
+    with stdout, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue() == ""
+    _no_child_left()
+
+
+def test_sweep_into_head_1_exits_1_quietly():
+    # As with "| head -1": the reader leaves after the header, while the
+    # parent and its workers still have rows to write.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nestrad", "sweep", "--kmax", "16383",
+         "--depth", "25"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_src_env(), start_new_session=True)
+    assert proc.stdout.readline() == b"k,extracted,abs_dev\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_table2_layout():
