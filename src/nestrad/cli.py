@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import os
 import re
 import sys
 import threading
-from collections.abc import Iterable
-from itertools import chain, islice
+from itertools import chain
 
 from .core import DEPTH_MAX, Scalar, gray_signs
 from .verify import (
@@ -137,7 +137,7 @@ def _cmd_converge(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    rows = sweep_branches(args.kmax, args.step, args.depth)
+    sweep_branches(args.kmax, args.step, args.depth)  # checks the arguments
     print("k,extracted,abs_dev")
     # On W CPUs chunk j of 4096 rows is worker j % W's, and the parent,
     # worker 0, prints the chunks in order.  A child sends each of its own
@@ -149,11 +149,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     # A fork beside other threads could copy a lock one of them holds.
     workers = (min(cpus, len(starts)) if hasattr(os, "fork")
                and threading.active_count() == 1 else 1)
-    if workers == 1:  # one sweep, whose one Gray tree serves every chunk
-        while text := _text(islice(rows, 4096)):
-            print(text, end="")
-        return
-    readers, pids = [], []
+    readers, pids, status = [], [], 0
     try:
         for w in range(1, workers):
             r, fd = os.pipe()
@@ -183,27 +179,28 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     finally:
         for f in readers:
             f.close()
-        status = max((os.waitpid(pid, 0)[1] for pid in pids), default=0)
+        for pid in pids:
+            # ECHILD: the host ignores SIGCHLD, so the child reaped itself
+            # and its status is lost; every frame was checked above.
+            with contextlib.suppress(ChildProcessError):
+                status = max(status, os.waitpid(pid, 0)[1])
     if status:
         raise ChildProcessError("a sweep worker exited with status "
                                 f"{os.waitstatus_to_exitcode(status)}")
 
 
 def _chunk(args: argparse.Namespace, k: int) -> str:
-    # The chunk of rows from branch k on.  A row's bits depend only on its
-    # k, so no split of the sweep moves a byte.
+    # The chunk of rows from branch k on, formatted at once.  A row's bits
+    # depend only on its k, so no split of the sweep moves a byte.
+    # "%.15g" is fmt_real here: it differs only on -0.0 and next to the
+    # float maximum, which neither column can hold, since abs() never
+    # returns -0.0, x - 0.5 is never -0.0 under round-to-nearest, and both
+    # stay below 4.5e307: with the top Gray bit clear a closing value is at
+    # most 2**DEPTH_MAX * sqrt(2), so extracted < 4.1e307, and
+    # k < 2**(DEPTH_MAX - 1).
     last = min(args.kmax, k + 4095 * args.step)
-    return _text(sweep_branches(last, args.step, args.depth, k_min=k))
-
-
-def _text(rows: Iterable[tuple[int, float, float]]) -> str:
-    # One format for a chunk.  "%.15g" is fmt_real here: it differs only on
-    # -0.0 and next to the float maximum, which neither column can hold,
-    # since abs() never returns -0.0, x - 0.5 is never -0.0 under
-    # round-to-nearest, and both stay below 4.5e307: with the top Gray bit
-    # clear a closing value is at most 2**DEPTH_MAX * sqrt(2), so extracted
-    # < 4.1e307, and k < 2**(DEPTH_MAX - 1).
-    fields = tuple(chain.from_iterable(rows))
+    fields = tuple(chain.from_iterable(
+        sweep_branches(last, args.step, args.depth, k_min=k)))
     return ("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields
 
 
@@ -369,7 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed stdout (| head).  As Python's signal docs
         # advise, stdout then goes to devnull, so exit flushes quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         return 1
     except ChildProcessError as exc:
         print(f"error: {exc}", file=sys.stderr)

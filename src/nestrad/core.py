@@ -18,7 +18,7 @@ import cmath
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 __all__ = [
@@ -335,20 +335,23 @@ def _towers(y: float, depth: int, ks: Sequence[int]
         yield chunk, _climb(tree, [_gray(k) for k in chunk], depth)
 
 
-def _gray_tree(y: float, height: int) -> list[float]:
+@lru_cache(maxsize=8)
+def _gray_tree(y: float, height: int) -> tuple[float, ...]:
     # The first height radicals of y under every sign pattern of their
     # Gray bits, as a full binary tree: a lane with Gray code g starts at
     # leaf g & (2**height - 1).  Lanes that agree in their low Gray bits
-    # share those inner radicals, so each is taken once.
+    # share those inner radicals, so each is taken once.  Kept per
+    # process, so a sweep's chunks share one tree; -0.0 shares 0.0's,
+    # which only a height-0 tree holds, and the first level drops its sign.
     sqrt = math.sqrt
     level = [y]
     for _ in range(height):
         roots = [sqrt((v + 1.0) / 2.0) for v in level]
         level = roots + [-r for r in roots]
-    return level
+    return tuple(level)
 
 
-def _climb(tree: list[float], grays: Sequence[int], depth: int) -> list[float]:
+def _climb(tree: Sequence[float], grays: Sequence[int], depth: int) -> list[float]:
     # Every lane from its leaf of tree up the remaining levels of the
     # tower, then the closing map.  Four levels whose Gray bit is clear in
     # every lane take one fused pass, and a single clear level a plain

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ import nestrad
 from nestrad import extract_branch, nested_acos_branch, sweep_branches
 from nestrad import cli
 from nestrad.cli import _parse_depths, fmt_real, fmt_scalar, main, parse_scalar
+from nestrad.core import _gray_tree
 
 from bitwise import assert_bitwise_equal
 from test_cli_golden import SWEEP_16K_SHA256
@@ -297,7 +299,7 @@ SPLIT_SWEEPS = [
 @pytest.mark.parametrize("kmax, step, depth", SPLIT_SWEEPS)
 def test_sweep_on_several_cpus_is_byte_identical(monkeypatch, cpus, kmax, step, depth):
     # Chunk j of 4096 rows is worker j % W's, W the smaller of the CPUs and
-    # the chunks; one CPU takes the serial path.
+    # the chunks; on one CPU the parent computes every chunk itself.
     argv = ["sweep", "--kmax", kmax, "--step", step, "--depth", depth]
     _cpus(monkeypatch, 1)
     forks = _count_forks(monkeypatch)
@@ -307,6 +309,29 @@ def test_sweep_on_several_cpus_is_byte_identical(monkeypatch, cpus, kmax, step, 
     assert run_cli(argv) == serial
     chunks = -(-len(range(0, int(kmax) + 1, int(step))) // 4096)
     assert len(forks) == min(cpus, chunks) - 1
+    _no_child_left()
+
+
+def test_sweep_chunks_share_one_gray_tree(monkeypatch):
+    # Each chunk is its own sweep_branches call; on one CPU the four chunks
+    # of this sweep build one Gray tree between them, as one call would.
+    _cpus(monkeypatch, 1)
+    _gray_tree.cache_clear()
+    assert run_cli(["sweep", "--kmax", "16383", "--depth", "25"])[0] == 0
+    assert _gray_tree.cache_info().misses == 1
+
+
+def test_sweep_beside_an_ignored_sigchld(monkeypatch):
+    # A host that ignores SIGCHLD has its children reaped for it, and
+    # os.waitpid raises ECHILD: the frames are checked, so the sweep passes.
+    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
+    want = run_cli(argv)
+    _cpus(monkeypatch, 3)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert run_cli(argv) == want
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
     _no_child_left()
 
 
@@ -451,12 +476,19 @@ def test_closed_stdout_exits_1_quietly(argv):
 def test_closed_stdout_in_process(monkeypatch, argv):
     # main() returns 1 with nothing on stderr and every child reaped, and
     # stdout's descriptor now writes to devnull: closing it raises nothing.
+    # The devnull descriptor main() opens is closed again: the lowest free
+    # descriptor is the same before and after.
     _cpus(monkeypatch, 2)
+    lowest = os.dup(0)
+    os.close(lowest)
     stdout, err = open(_closed_pipe(), "w"), io.StringIO()
     with stdout, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         assert main(argv) == 1
     assert err.getvalue() == ""
     _no_child_left()
+    fd = os.dup(0)
+    os.close(fd)
+    assert fd == lowest
 
 
 def test_sweep_into_head_1_exits_1_quietly():

@@ -512,6 +512,17 @@ def test_towers_match_single_tower_bitwise(y, depth):
         assert_bitwise_equal(_batched(y, depth, ks), want)
 
 
+def test_signed_zeros_share_a_gray_tree():
+    # _gray_tree is cached by value, and -0.0 == 0.0: whichever zero
+    # builds the tree, towers of the other are still bitwise their own.
+    for zeros in [(0.0, -0.0), (-0.0, 0.0)]:
+        _gray_tree.cache_clear()
+        for y in zeros:
+            for depth, ks in [(1, range(1)), (2, range(2)), (25, range(5))]:
+                want = [_tower(y, depth, k ^ (k >> 1), acos_outer) for k in ks]
+                assert_bitwise_equal(_batched(y, depth, ks), want)
+
+
 @pytest.mark.parametrize("depth", [14, 22, 25])
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_towers_uniform_levels_match_single_tower(c, depth):
