@@ -7,18 +7,17 @@ to "0".  Exit codes: 0 success, 1 output cut short (stdout closed, as by
 numeric error (overflow or pole).  A sweep of more than 4096 rows runs
 on every CPU the process may use, in forked workers, byte for byte.
 
-A call that starts with a command name is parsed by that command's
-parser alone, which a process builds on its first call and reuses;
-top-level help, unknown or abbreviated commands and leftover arguments
-go through the full tree, built afresh, so every message reads as it
-did.  Importing the CLI loads core and verify, not expand: only the
-expand command needs exact arithmetic (fractions), and it loads that
-module on its first call.
+A call in canonical form (the command first, each option spelled out
+once with its value next) is read against one table of every command's
+arguments, with no parser built and argparse not loaded.  Help, errors
+and other forms go to argparse parsers built from that table: the
+command's own, built once per process, then the full tree, built afresh,
+so every message reads as it did.  Importing the CLI loads core and
+verify, not expand, which the expand command loads on its first call.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import contextlib
 import functools
@@ -27,6 +26,7 @@ import re
 import sys
 import threading
 from itertools import chain
+from types import SimpleNamespace
 
 from .core import DEPTH_MAX, Scalar, gray_signs
 from .verify import (
@@ -104,7 +104,7 @@ def _parse_depths(text: str) -> list[int]:
     return list(range(lo, min(hi, max(lo, DEPTH_MAX + 1)) + 1))
 
 
-def _cmd_eval(args: argparse.Namespace) -> None:
+def _cmd_eval(args: SimpleNamespace) -> None:
     z = parse_scalar(args.arg)
     r = eval_report(args.fn, z, depth=args.depth, seed_order=args.seed_order,
                     branch=args.branch)
@@ -127,7 +127,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     print(f"rel_error {fmt_real(r.rel_error)}")
 
 
-def _cmd_converge(args: argparse.Namespace) -> None:
+def _cmd_converge(args: SimpleNamespace) -> None:
     z = parse_scalar(args.arg)
     rows = converge(args.fn, z, _parse_depths(args.depths), args.seed_order)
     print("depth,value,abs_error,error_ratio")
@@ -136,7 +136,7 @@ def _cmd_converge(args: argparse.Namespace) -> None:
               f"{fmt_real(row.abs_error)},{fmt_real(row.error_ratio)}")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: SimpleNamespace) -> None:
     sweep_branches(args.kmax, args.step, args.depth)  # checks the arguments
     print("k,extracted,abs_dev")
     # On W CPUs chunk j of 4096 rows is worker j % W's, and the parent,
@@ -189,7 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                                 f"{os.waitstatus_to_exitcode(status)}")
 
 
-def _chunk(args: argparse.Namespace, k: int) -> str:
+def _chunk(args: SimpleNamespace, k: int) -> str:
     # The chunk of rows from branch k on, formatted at once.  A row's bits
     # depend only on its k, so no split of the sweep moves a byte.
     # "%.15g" is fmt_real here: it differs only on -0.0 and next to the
@@ -204,7 +204,7 @@ def _chunk(args: argparse.Namespace, k: int) -> str:
     return ("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields
 
 
-def _cmd_table1(args: argparse.Namespace) -> None:
+def _cmd_table1(args: SimpleNamespace) -> None:
     rows = reproduce_table1(args.depth)
     print(f"{'signs':<8}{'value':<20}limit")
     for row in rows:
@@ -212,7 +212,7 @@ def _cmd_table1(args: argparse.Namespace) -> None:
         print(f"{row.pattern:<8}{fmt_real(row.value):<20}{limit}")
 
 
-def _cmd_table2(args: argparse.Namespace) -> None:
+def _cmd_table2(args: SimpleNamespace) -> None:
     rows = reproduce_table2(args.depth)
     print(f"{'k':<4}{'acos(1)/pi':<20}acos(-1)/pi")
     for row in rows:
@@ -220,7 +220,7 @@ def _cmd_table2(args: argparse.Namespace) -> None:
               f"{fmt_real(row.at_minus_one)}")
 
 
-def _cmd_expand(args: argparse.Namespace) -> None:
+def _cmd_expand(args: SimpleNamespace) -> None:
     from .expand import expand_nested_cos
     variant = "hyperbolic" if args.hyperbolic else "circular"
     coeffs = expand_nested_cos(args.depth, variant).coeffs
@@ -235,114 +235,144 @@ def _cmd_expand(args: argparse.Namespace) -> None:
     print("\n".join(["j,coefficient", *lines]))
 
 
-def _cmd_signs(args: argparse.Namespace) -> None:
+def _cmd_signs(args: SimpleNamespace) -> None:
     signs = gray_signs(args.branch, args.width)
     if not args.inner_first:
         signs = tuple(reversed(signs))
     print("".join("+" if s > 0 else "-" for s in signs))
 
 
-class _Parser(argparse.ArgumentParser):
-    # Newer argparse releases (3.13.13 among them) print the choices of an
-    # invalid-choice error unquoted; this is the quoted wording of earlier
-    # ones, so the error reads the same on every Python.
-    def _check_value(self, action: argparse.Action, value: object) -> None:
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {value!r} (choose from {choices})")
-
-
-def _accept_negative_scalars(parser: argparse.ArgumentParser) -> None:
-    # Let values with a leading minus (-2+3i, -i, -1e-3) parse as
-    # positionals; every option here is --long so this is unambiguous.
-    # If argparse stops reading this private attribute, "--" still works.
-    parser._negative_number_matcher = re.compile(r"^-[\d.i]")
-
-
-def _add_depth(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth", type=int, default=10,
-                        help="recursion depth n (default 10)")
-
-
-def _args_eval(p: argparse.ArgumentParser) -> None:
-    _accept_negative_scalars(p)
-    p.add_argument("fn", choices=sorted(FUNCTIONS))
-    p.add_argument("arg", help="argument: a, ai, a+bi, a-bi")
-    _add_depth(p)
-    p.add_argument("--seed-order", type=int, default=2, dest="seed_order",
-                   help="series terms in the seed, 1..4 (default 2)")
-    p.add_argument("--branch", type=int, default=0,
-                   help="branch index for acos/acosh (default 0)")
-    p.add_argument("--json", action="store_true", dest="as_json",
-                   help="emit a single-line JSON report")
-
-
-def _args_converge(p: argparse.ArgumentParser) -> None:
-    _accept_negative_scalars(p)
-    p.add_argument("fn", choices=sorted(FUNCTIONS))
-    p.add_argument("arg")
-    p.add_argument("--depths", required=True, help="range A..B or single depth")
-    p.add_argument("--seed-order", type=int, default=2, dest="seed_order")
-
-
-def _args_sweep(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--step", type=int, default=1)
-    _add_depth(p)
-
-
-def _args_expand(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--hyperbolic", action="store_true")
-
-
-def _args_signs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--branch", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--inner-first", action="store_true", dest="inner_first",
-                   help="print innermost radical first (default outermost)")
-
-
+# Each command's help, handler, positionals and options.  A positional is
+# (dest, choices, help).  Where there are positionals, a minus before a
+# digit, "." or "i" (-2+3i, -i, -1e-3) starts one, not an option: all are
+# --long.  An option is flag: (dest, kind, default, help), where kind int
+# or str takes the next token, bool is a flag, and default None requires it.
+_NEGATIVE = re.compile(r"^-[\d.i]")
+_FN = ("fn", sorted(FUNCTIONS), None)
+_DEPTH = {"--depth": ("depth", int, 10, "recursion depth n (default 10)")}
 _COMMANDS = {
-    "eval": ("evaluate one function against its oracle", _args_eval, _cmd_eval),
-    "converge": ("error table over a depth range", _args_converge, _cmd_converge),
-    "sweep": ("branch sweep of the inverse cosine of 0", _args_sweep, _cmd_sweep),
-    "table1": ("branches of the inverse cosine of 0", _add_depth, _cmd_table1),
-    "table2": ("branches at +-1 divided by pi", _add_depth, _cmd_table2),
-    "expand": ("exact rational Maclaurin coefficients", _args_expand, _cmd_expand),
-    "signs": ("Gray-code sign pattern of a branch", _args_signs, _cmd_signs),
+    "eval": ("evaluate one function against its oracle", _cmd_eval,
+             (_FN, ("arg", None, "argument: a, ai, a+bi, a-bi")),
+             {**_DEPTH, "--seed-order": ("seed_order", int, 2,
+                                         "series terms in the seed, 1..4 (default 2)"),
+              "--branch": ("branch", int, 0, "branch index for acos/acosh (default 0)"),
+              "--json": ("as_json", bool, False, "emit a single-line JSON report")}),
+    "converge": ("error table over a depth range", _cmd_converge,
+                 (_FN, ("arg", None, None)),
+                 {"--depths": ("depths", str, None, "range A..B or single depth"),
+                  "--seed-order": ("seed_order", int, 2, None)}),
+    "sweep": ("branch sweep of the inverse cosine of 0", _cmd_sweep, (),
+              {"--kmax": ("kmax", int, None, None), "--step": ("step", int, 1, None),
+               **_DEPTH}),
+    "table1": ("branches of the inverse cosine of 0", _cmd_table1, (), _DEPTH),
+    "table2": ("branches at +-1 divided by pi", _cmd_table2, (), _DEPTH),
+    "expand": ("exact rational Maclaurin coefficients", _cmd_expand, (),
+               {"--depth": ("depth", int, None, None),
+                "--hyperbolic": ("hyperbolic", bool, False, None)}),
+    "signs": ("Gray-code sign pattern of a branch", _cmd_signs, (),
+              {"--branch": ("branch", int, None, None),
+               "--width": ("width", int, None, None),
+               "--inner-first": ("inner_first", bool, False,
+                                 "print innermost radical first (default outermost)")}),
 }
+# 640 digits at most: the least integer string limit Python can be set to.
+_INT = re.compile(r"-?[0-9]{1,640}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full nestrad parser: the root and every command's subparser."""
-    parser = _Parser(
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    # The namespace argparse makes of a valid call in canonical form, else
+    # None: the command first, each option in full at most once with its
+    # value next (a missing one reads "-", which fails), ints in ASCII digits,
+    # a leading minus only on a scalar, and every positional and required
+    # option given.  Help, errors and every other form are argparse's.
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positionals, options = _COMMANDS[argv[0]]
+
+    def arg(text: str) -> bool:  # a token argparse reads as an argument here
+        return text[:1] != "-" or bool(positionals and _NEGATIVE.match(text))
+
+    args = {dest: default for dest, _, default, _ in options.values()}
+    args.update(command=argv[0], handler=handler)
+    flags, values, tokens = dict(options), [], iter(argv[1:])
+    for token in tokens:
+        if (option := flags.pop(token, None)) is None:  # a repeat is no flag
+            values.append(token)
+        elif option[1] is bool:
+            args[option[0]] = True
+        elif (_INT.fullmatch if option[1] is int else arg)(value := next(tokens, "-")):
+            args[option[0]] = option[1](value)
+        else:
+            return None
+    pairs = list(zip(positionals, values))
+    if (any(option[2] is None for option in flags.values())
+            or len(values) != len(positionals) or not all(map(arg, values))
+            or any(choices and v not in choices for (_, choices, _), v in pairs)):
+        return None
+    args.update((dest, v) for (dest, _, _), v in pairs)
+    return SimpleNamespace(**args)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser_class() -> type:
+    # The one place argparse loads: a canonical call needs no parser.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # Newer argparse releases (3.13.13 among them) print the choices of
+        # an invalid-choice error unquoted; this is the quoted wording of
+        # earlier ones, so the error reads the same on every Python.
+        def _check_value(self, action: argparse.Action, value: object) -> None:
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise argparse.ArgumentError(
+                    action, f"invalid choice: {value!r} (choose from {choices})")
+
+    return _Parser
+
+
+def _add_arguments(parser, name: str) -> None:
+    _, handler, positionals, options = _COMMANDS[name]
+    if positionals:
+        # If argparse stops reading this private attribute, "--" still works.
+        parser._negative_number_matcher = _NEGATIVE
+    for dest, choices, help_text in positionals:
+        parser.add_argument(dest, choices=choices, help=help_text)
+    for flag, (dest, kind, default, help_text) in options.items():
+        parser.add_argument(flag, dest=dest, default=default, required=default is None,
+                            help=help_text, **({"action": "store_true"} if kind is bool
+                                               else {"type": kind}))
+    parser.set_defaults(handler=handler)
+
+
+def build_parser():
+    """The full nestrad argparse parser: the root and every command's."""
+    parser = _parser_class()(
         prog="nestrad",
         description="Nested square-root and doubled-angle evaluation of "
                     "elementary functions, with oracle comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_args(p)
-        p.set_defaults(handler=handler)
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 @functools.lru_cache(maxsize=None)
-def _command_parser(name: str) -> argparse.ArgumentParser:
+def _command_parser(name: str):
     # The parser the full tree builds for the command (same class, prog and
     # arguments), so its help and errors print the same.  Reuse is safe: each
     # parse makes a new Namespace; COLUMNS and the streams are read on print.
-    _, add_args, handler = _COMMANDS[name]
-    parser = _Parser(prog=f"nestrad {name}")
-    add_args(parser)
-    parser.set_defaults(command=name, handler=handler)
+    parser = _parser_class()(prog=f"nestrad {name}")
+    _add_arguments(parser, name)
+    parser.set_defaults(command=name)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    # Anything but a command name with no leftovers goes through the full tree.
+def _parse(argv: list[str]) -> SimpleNamespace:
+    # A canonical call needs no parser.  Another that names a command first
+    # goes to that command's parser, and what that leaves to the full tree.
+    if (args := _scan(argv)) is not None:
+        return args
     if argv and argv[0] in _COMMANDS:
         args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:

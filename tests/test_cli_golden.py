@@ -7,9 +7,13 @@ cover every subcommand that reads the radical tower, the error paths, and
 argparse's own help, usage and invalid-choice output.  Some pin a rule
 rather than a value: the dispatch boundary (a leftover argument and
 option, a command abbreviation, "--" before and inside a command, a
-missing option value and help after arguments); depth checked before
-seed order, for every function, and the one depth bound of 1023; and
-converge at a pole reporting the evaluator's error, as eval does.
+missing option value and help after arguments); valid calls that only
+argparse reads (--flag=value, an abbreviated or a repeated option, "--"
+before a negative scalar); depth checked before seed order, for every
+function, and the one depth bound of 1023; and converge at a pole
+reporting the evaluator's error, as eval does.  A Hypothesis property
+checks the scanner of canonical calls against the full argparse tree on
+argvs drawn from a token grammar.
 
 To pin a new call, append {"argv": [...]} to the file and re-record every
 record from its own argv; do so only when a change to the output is
@@ -21,14 +25,17 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nestrad import cli
+from nestrad import FUNCTIONS, cli
 from nestrad.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
@@ -59,21 +66,25 @@ def test_every_command_has_a_successful_record():
     assert {r["argv"][0] for r in RECORDS if r["exit"] == 0} >= set(cli._COMMANDS)
 
 
-def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
-    # main parses a call that names a command with that command's parser
-    # alone, built on its first use in a process and reused after.  On the
-    # recorded argvs that the full tree accepts, a fresh cache builds one
-    # parser per command, in order of first use; a second pass builds none,
-    # and every namespace is the full tree's.
-    accepted = []
-    for argv in (r["argv"] for r in RECORDS):
+def _full_tree_vars(parser, argv):
+    # vars of the full tree's namespace for argv, or None where it exits.
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                accepted.append((argv, vars(build_parser().parse_args(argv))))
+            return vars(parser.parse_args(argv))
         except SystemExit:
-            continue
-    assert len(accepted) == 35
+            return None
+
+
+def test_valid_call_parses_like_the_full_tree_with_no_parser(monkeypatch):
+    # main scans a call in canonical form against the command table and
+    # builds no parser for it.  The recorded argvs that the full tree
+    # accepts but that are not canonical ("--", "=", an abbreviated or a
+    # repeated option) go to their command's parser, built on its first
+    # use in a process.  Every namespace is the full tree's.
+    accepted = [(r["argv"], want) for r in RECORDS
+                if (want := _full_tree_vars(build_parser(), r["argv"]))]
+    assert len(accepted) == 39
     assert build_parser() is not build_parser()
     built = []
     init = argparse.ArgumentParser.__init__
@@ -84,16 +95,71 @@ def test_valid_call_parses_like_the_full_tree_with_one_parser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._command_parser.cache_clear()
-    for argv, _ in accepted:
-        transcript(argv)
-    first_use = dict.fromkeys(argv[0] for argv, _ in accepted)
-    assert built == [f"nestrad {name}" for name in first_use]
-    assert sorted(first_use) == sorted(cli._COMMANDS)
-    built.clear()
     for argv, want in accepted:
         transcript(argv)
         assert vars(cli._parse(argv)) == want, argv
+    assert built == ["nestrad eval", "nestrad sweep"]
+    canonical = [argv for argv, _ in accepted if cli._scan(argv) is not None]
+    assert len(canonical) == 34
+    assert {argv[0] for argv in canonical} == set(cli._COMMANDS)
+    cli._command_parser.cache_clear()
+    built.clear()
+    for argv in canonical:
+        transcript(argv)
     assert built == []
+
+
+# A token grammar around the canonical forms.  Each token list holds forms
+# the scanner accepts, then forms it leaves to argparse: ints with a sign,
+# a space, an underscore, a Unicode digit or past the integer string limit,
+# abbreviated and --flag=value options, repeats, "--", help and stray
+# tokens.  At most one pick of a draw takes the second kind.
+INTS = ["0", "12", "-5", "007", "-0", "5" * 640], \
+    ["+5", " 5", "1_0", "\u0663", "5" * 4301, "x", "", "-x"]
+SCALARS = ["0.5", "-0.5", "-i", "-.5", "2+3i", "-2+3i", "1e-3", "-1 2", "", "x"], \
+    ["-", "-x", "--5"]
+DEPTHS = ["4..12", "4", "-3", "x", ""], ["-x", "--"]
+STRAY = [None], ["--", "-h", "--help", "--bogus", "x", "-x", "-5", "cos", "--depth",
+                 "--json", "--kmax"]
+
+
+@st.composite
+def argvs(draw):
+    odd_pick, picks = draw(st.sampled_from(range(-4, 16))), itertools.count()
+
+    def pick(good, odd):
+        return draw(st.sampled_from(odd if next(picks) == odd_pick else good))
+
+    name = pick(list(cli._COMMANDS), ["ev", "-h", "--depth"])
+    _, _, positionals, options = cli._COMMANDS.get(name, (0, 0, (), {}))
+    pieces = [[pick(sorted(FUNCTIONS), ["nosuch", "co"]) if choices else pick(*SCALARS)]
+              for _, choices, _ in positionals]
+    for flag, (_, kind, default, _) in options.items():
+        for _ in range(pick([1] if default is None else [0, 1], [0, 2])):
+            spelled = pick([flag], [flag[:5]])
+            value = [] if kind is bool else [pick(*INTS if kind is int else DEPTHS)]
+            pieces.append([f"{spelled}={value[0]}"] if value and pick([0], [1])
+                          else [spelled, *value])
+    pieces += [[token] for token in [pick(*STRAY)] if token is not None]
+    order = draw(st.permutations(range(len(pieces))))
+    return [name, *(token for i in order for token in pieces[i])]
+
+
+_FULL_TREE = build_parser()  # one parser serves every draw: each parse is fresh
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argvs())
+@example(["eval", "--depth", "-5", "acos", "-i", "--json"])
+@example(["converge", "--depths", "4..5", "cos", "-.5"])
+@example(["eval", "cos", "-x"])
+@example(["converge", "cos", "1", "--depths", "-x"])
+@example(["sweep", "--kmax", "5" * 4301])
+def test_scan_is_the_full_tree_or_none(argv):
+    # A scanned call is one the full tree accepts, with the same namespace;
+    # wherever the full tree exits (help or an error), the scanner declines.
+    got = cli._scan(argv)
+    assert got is None or vars(got) == _full_tree_vars(_FULL_TREE, argv)
 
 
 def test_records_replay_byte_identical_twice_in_one_process():

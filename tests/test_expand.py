@@ -253,7 +253,7 @@ def _evaluate_reference(coeffs, x):
 
 
 # Complex points with Re(u) < 0 (1+2j, -0.5-3j) give 0*u a -0.0 real part.
-EVAL_XS = (0.0, -0.0, 1e-300, 1e-3, 0.5, 1.0, -2.5, 40.0, 1e200,
+EVAL_XS = (0.0, -0.0, 1e-300, 1e-3, 0.5, 1.0, -2.5, 40.0, 1e154, 1e200,
            math.inf, -math.inf, math.nan, 1 + 1j, 1 + 2j, -0.5 - 3j)
 
 
@@ -278,11 +278,15 @@ def test_evaluate_matches_per_call_conversion(depth, variant):
     (Fraction(1), Fraction(-1, 2), Fraction(-1, 2 ** 1100)),
     (Fraction(1, 2 ** 1100),),
     (Fraction(1, 2 ** 1100), Fraction(-1, 2 ** 1100)),
+    (Fraction(1), Fraction(3, 2 ** 1076)),
+    (Fraction(1), Fraction(-1, 2 ** 1075)),
 ], ids=["interior-zero", "top-underflow", "top-underflow-negated",
-        "all-underflow", "all-underflow-two"])
+        "all-underflow", "all-underflow-two", "top-least-subnormal", "top-half-tie"])
 def test_evaluate_drops_only_top_float_zeros(coeffs):
     # An interior zero is summed; a top coefficient that is 0.0 as a float
     # is not; a polynomial whose coefficients are all 0.0 keeps them all.
+    # 3/2**1076 rounds up to the least subnormal, which 1e154 lifts to an
+    # ulp of 1, and -1/2**1075 is a tie that rounds to -0.0.
     poly = RationalPoly(coeffs)
     for x in EVAL_XS:
         assert repr(poly.evaluate(x)) == repr(

@@ -86,6 +86,24 @@ def test_import_loads_no_expansion():
     assert (before, after) == ("False", "True True")
 
 
+def test_canonical_call_loads_no_argparse():
+    # A fresh interpreter imports the CLI and runs a valid call in canonical
+    # form without loading argparse: only help, errors and other forms
+    # build a parser.
+    code = ("import sys\n"
+            "bare = set(sys.modules)\n"
+            "import nestrad.cli\n"
+            "nestrad.cli.main(['eval', 'cos', '0.7', '--depth', '12'])\n"
+            "print(*sorted(set(sys.modules) - bare))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nestrad.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    *report, added = out.stdout.splitlines()
+    assert [line.split()[0] for line in report] == [
+        "value", "oracle", "abs_error", "rel_error"]
+    assert "nestrad.cli" in added.split() and "argparse" not in added.split()
+
+
 def _modules():
     src = pathlib.Path(nestrad.__file__).parent
     return {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}

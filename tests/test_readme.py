@@ -10,7 +10,6 @@ that some command's parser registers, and the Layout block lists the
 package's modules.
 """
 
-import argparse
 import contextlib
 import io
 import pathlib
@@ -99,10 +98,8 @@ def _unregistered_options(text):
     # The --options named in inline code spans, outside fenced blocks, that
     # no command's parser registers (-h/--help included).
     registered = set()
-    for _, add_args, _ in cli._COMMANDS.values():
-        parser = argparse.ArgumentParser()
-        add_args(parser)
-        registered.update(parser._option_string_actions)
+    for name in cli._COMMANDS:
+        registered.update(cli._command_parser(name)._option_string_actions)
     prose = re.sub(r"```.*?```", "", text, flags=re.S)
     named = {option for span in re.findall(r"`([^`]+)`", prose)
              for option in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", span)}
