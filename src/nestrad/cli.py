@@ -10,17 +10,16 @@ on every CPU the process may use, in forked workers, byte for byte.
 A call in canonical form (the command first, each option spelled out
 once with its value next) is read against one table of every command's
 arguments, with no parser built and argparse not loaded.  Help, errors
-and other forms go to argparse parsers built from that table: the
-command's own, built once per process, then the full tree, built afresh,
-so every message reads as it did.  Importing the CLI loads core and
-verify, not expand, which the expand command loads on its first call.
+and every other form go to the full argparse tree, built afresh from
+that table, so every message reads as it did.  Importing the CLI loads
+core and verify, not expand, which the expand command loads on its
+first call.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
-import functools
 import os
 import re
 import sys
@@ -313,8 +312,8 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-@functools.lru_cache(maxsize=None)
-def _parser_class() -> type:
+def build_parser():
+    """The full nestrad argparse parser: the root and every command's."""
     # The one place argparse loads: a canonical call needs no parser.
     import argparse
 
@@ -328,56 +327,30 @@ def _parser_class() -> type:
                 raise argparse.ArgumentError(
                     action, f"invalid choice: {value!r} (choose from {choices})")
 
-    return _Parser
-
-
-def _add_arguments(parser, name: str) -> None:
-    _, handler, positionals, options = _COMMANDS[name]
-    if positionals:
-        # If argparse stops reading this private attribute, "--" still works.
-        parser._negative_number_matcher = _NEGATIVE
-    for dest, choices, help_text in positionals:
-        parser.add_argument(dest, choices=choices, help=help_text)
-    for flag, (dest, kind, default, help_text) in options.items():
-        parser.add_argument(flag, dest=dest, default=default, required=default is None,
-                            help=help_text, **({"action": "store_true"} if kind is bool
-                                               else {"type": kind}))
-    parser.set_defaults(handler=handler)
-
-
-def build_parser():
-    """The full nestrad argparse parser: the root and every command's."""
-    parser = _parser_class()(
+    parser = _Parser(
         prog="nestrad",
         description="Nested square-root and doubled-angle evaluation of "
                     "elementary functions, with oracle comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _command_parser(name: str):
-    # The parser the full tree builds for the command (same class, prog and
-    # arguments), so its help and errors print the same.  Reuse is safe: each
-    # parse makes a new Namespace; COLUMNS and the streams are read on print.
-    parser = _parser_class()(prog=f"nestrad {name}")
-    _add_arguments(parser, name)
-    parser.set_defaults(command=name)
+    for name, (summary, handler, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        if positionals:
+            # If argparse stops reading this private attribute, "--" still works.
+            command._negative_number_matcher = _NEGATIVE
+        for dest, choices, help_text in positionals:
+            command.add_argument(dest, choices=choices, help=help_text)
+        for flag, (dest, kind, default, help_text) in options.items():
+            command.add_argument(flag, dest=dest, default=default,
+                                 required=default is None, help=help_text,
+                                 **({"action": "store_true"} if kind is bool
+                                    else {"type": kind}))
+        command.set_defaults(handler=handler)
     return parser
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
-    # A canonical call needs no parser.  Another that names a command first
-    # goes to that command's parser, and what that leaves to the full tree.
-    if (args := _scan(argv)) is not None:
-        return args
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    # A canonical call needs no parser; any other goes to the full tree.
+    return _scan(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -80,12 +80,11 @@ def test_valid_call_parses_like_the_full_tree_with_no_parser(monkeypatch):
     # main scans a call in canonical form against the command table and
     # builds no parser for it.  The recorded argvs that the full tree
     # accepts but that are not canonical ("--", "=", an abbreviated or a
-    # repeated option) go to their command's parser, built on its first
-    # use in a process.  Every namespace is the full tree's.
+    # repeated option) each build one full tree.  Every namespace is the
+    # full tree's.
     accepted = [(r["argv"], want) for r in RECORDS
                 if (want := _full_tree_vars(build_parser(), r["argv"]))]
     assert len(accepted) == 39
-    assert build_parser() is not build_parser()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -94,19 +93,19 @@ def test_valid_call_parses_like_the_full_tree_with_no_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._command_parser.cache_clear()
+    canonical = 0
     for argv, want in accepted:
+        built.clear()
         transcript(argv)
+        if cli._scan(argv) is not None:
+            canonical += 1
+            assert built == [], argv
+        else:
+            # The root parser, then each command's, once.
+            assert built == ["nestrad", *(f"nestrad {name}" for name in cli._COMMANDS)]
         assert vars(cli._parse(argv)) == want, argv
-    assert built == ["nestrad eval", "nestrad sweep"]
-    canonical = [argv for argv, _ in accepted if cli._scan(argv) is not None]
-    assert len(canonical) == 34
-    assert {argv[0] for argv in canonical} == set(cli._COMMANDS)
-    cli._command_parser.cache_clear()
-    built.clear()
-    for argv in canonical:
-        transcript(argv)
-    assert built == []
+    assert canonical == 34
+    assert {argv[0] for argv, _ in accepted if cli._scan(argv)} == set(cli._COMMANDS)
 
 
 # A token grammar around the canonical forms.  Each token list holds forms
@@ -163,10 +162,10 @@ def test_scan_is_the_full_tree_or_none(argv):
 
 
 def test_records_replay_byte_identical_twice_in_one_process():
-    # Every call in a process shares the cached command parsers: help,
-    # argparse's error exits and SystemExit must leave nothing in them that
-    # a later call sees.  The second pass runs the records in reverse.
-    cli._command_parser.cache_clear()
+    # Every call in a process shares what the library keeps between calls
+    # (verify._config, core._gray_tree and expand._build): help, argparse's
+    # error exits and SystemExit must leave nothing there that a later call
+    # sees.  The second pass runs the records in reverse.
     for record in [*RECORDS, *reversed(RECORDS)]:
         assert transcript(record["argv"]) == record
 

@@ -96,10 +96,10 @@ def test_layout_lists_the_modules():
 
 def _unregistered_options(text):
     # The --options named in inline code spans, outside fenced blocks, that
-    # no command's parser registers (-h/--help included).
-    registered = set()
-    for name in cli._COMMANDS:
-        registered.update(cli._command_parser(name)._option_string_actions)
+    # no command takes: the argument table's flags, and -h/--help.
+    registered = {"-h", "--help"}
+    for *_, options in cli._COMMANDS.values():
+        registered.update(options)
     prose = re.sub(r"```.*?```", "", text, flags=re.S)
     named = {option for span in re.findall(r"`([^`]+)`", prose)
              for option in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", span)}
