@@ -42,6 +42,7 @@ __all__ = ["main", "parse_scalar", "fmt_scalar"]
 _UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL = re.compile(rf"[+-]?{_UNSIGNED}")
 _IMAGINARY = re.compile(rf"[+-]?(?:{_UNSIGNED}[+-])?(?:{_UNSIGNED})?i")
+_CHUNK_ROWS = 4096  # sweep rows per chunk, core._BATCH: one batch on one Gray tree
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -138,11 +139,11 @@ def _cmd_converge(args: SimpleNamespace) -> None:
 def _cmd_sweep(args: SimpleNamespace) -> None:
     sweep_branches(args.kmax, args.step, args.depth)  # checks the arguments
     print("k,extracted,abs_dev")
-    # On W CPUs chunk j of 4096 rows is worker j % W's, and the parent,
+    # On W CPUs chunk j of _CHUNK_ROWS rows is worker j % W's, and the parent,
     # worker 0, prints the chunks in order.  A child sends each of its own
     # down a pipe as its length in 8 bytes and its text; the pipe's
     # back-pressure keeps one chunk of text per process.
-    starts = range(0, args.kmax + 1, 4096 * args.step)
+    starts = range(0, args.kmax + 1, _CHUNK_ROWS * args.step)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     # A fork beside other threads could copy a lock one of them holds.
@@ -197,7 +198,7 @@ def _chunk(args: SimpleNamespace, k: int) -> str:
     # stay below 4.5e307: with the top Gray bit clear a closing value is at
     # most 2**DEPTH_MAX * sqrt(2), so extracted < 4.1e307, and
     # k < 2**(DEPTH_MAX - 1).
-    last = min(args.kmax, k + 4095 * args.step)
+    last = min(args.kmax, k + (_CHUNK_ROWS - 1) * args.step)
     fields = tuple(chain.from_iterable(
         sweep_branches(last, args.step, args.depth, k_min=k)))
     return ("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields

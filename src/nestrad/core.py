@@ -10,6 +10,7 @@ sqrt(2*(1 -+ y)) scaled by 2**depth; signs on the radicals read off the Gray
 code of k give branch k, so consecutive k differ in one sign.  asin, atan,
 log and kin reach it through square roots, which forget signs: atan, asinh
 and atanh restore a real input's sign; asin returns the magnitude branch.
+Each *_sequence function lists the iterates its kernel records as it runs.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def double_angle_step(x: Scalar) -> Scalar:
 
 
 def half_angle_step(y: Scalar) -> Scalar:
-    """One inverse step: maps cos(t) to cos(t/2) on the principal sheet."""
+    """One principal inverse step, cos(t) to cos(t/2); no library path runs it."""
     return principal_sqrt((y + 1.0) / 2.0)
 
 
@@ -171,33 +172,26 @@ def cosh_seed(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
     return 1.0 - _seed(x, cfg, True)[0]
 
 
-def _trace(y, step: Callable, n: int) -> list:
-    # y and its first n images under step; the one recorder of iterates.
-    ys = [y]
-    for _ in range(n):
-        ys.append(step(ys[-1]))
-    return ys
-
-
-def _double(pair: tuple[Scalar, Scalar]) -> tuple[Scalar, Scalar]:
-    # -1 + 2*c**2 on the deviation e = 1 - c, and Viete's sin 2t = 2 sin t cos t.
-    e, s = pair
-    return 2.0 * e * (2.0 - e), 2.0 * s * (1.0 - e)
-
-
-def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool) -> tuple[Scalar, Scalar]:
-    # The pair (c, s), _double inlined.  NaN and inf persist, so one check
-    # at the end suffices; only then does _doublings name the first step.
-    e, s = seed = _seed(x, cfg, hyperbolic)
+def _forward(x: Scalar, cfg: EvalConfig, hyperbolic: bool,
+             pairs: list | None = None) -> tuple[Scalar, Scalar]:
+    # (c, s) by -1 + 2*c**2 on e = 1 - c and Viete's sin 2t = 2 sin t cos t,
+    # each (e, s) from the seed on appended to pairs if given.  NaN and inf
+    # persist, so one end check suffices; _doublings reruns it to name the step.
+    e, s = _seed(x, cfg, hyperbolic)
+    if pairs is not None:
+        pairs.append((e, s))
     for _ in range(cfg.depth):
         e, s = 2.0 * e * (2.0 - e), 2.0 * s * (1.0 - e)
-    if not (cmath.isfinite(e) and cmath.isfinite(s)):
-        _doublings(seed, cfg)
+        if pairs is not None:
+            pairs.append((e, s))
+    if pairs is None and not (cmath.isfinite(e) and cmath.isfinite(s)):
+        _doublings(x, cfg, hyperbolic)
     return 1.0 - e, s
 
 
-def _doublings(seed: tuple[Scalar, Scalar], cfg: EvalConfig) -> list[Scalar]:
-    pairs = _trace(seed, _double, cfg.depth)
+def _doublings(x: Scalar, cfg: EvalConfig, hyperbolic: bool) -> list[Scalar]:
+    pairs: list[tuple[Scalar, Scalar]] = []
+    _forward(x, cfg, hyperbolic, pairs)
     finite = [cmath.isfinite(e) and cmath.isfinite(s) for e, s in pairs]
     if not finite[-1]:
         # Entry m follows doubling step m; a NaN seed fails at step 1.
@@ -223,12 +217,12 @@ def nested_cosh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
 
 def nested_cos_sequence(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Scalar]:
     """All forward iterates [seed, ..., value]; the last entry is nested_cos."""
-    return _doublings(_seed(x, cfg, False), cfg)
+    return _doublings(x, cfg, False)
 
 
 def nested_cosh_sequence(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Scalar]:
     """Hyperbolic counterpart of nested_cos_sequence."""
-    return _doublings(_seed(x, cfg, True), cfg)
+    return _doublings(x, cfg, True)
 
 
 def nested_sin(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
@@ -289,11 +283,11 @@ def acosh_outer(y: Scalar) -> Scalar:
     return principal_sqrt(2.0 * (-1.0 + y))
 
 
-def _tower(y: Scalar, depth: int, gray: int,
-           outer: Callable[[Scalar], Scalar]) -> Scalar:
-    # The one radical tower behind every inverse entry.  Bit m of the Gray
-    # code gray negates the iterate after radical m, innermost m = 0, and
-    # gray = 0 is the principal sheet.
+def _tower(y: Scalar, depth: int, gray: int, outer: Callable[[Scalar], Scalar],
+           ys: list | None = None) -> Scalar:
+    # The one radical tower behind every inverse entry; ys, given a list,
+    # records its iterates.  Bit m of the Gray code gray negates the iterate
+    # after radical m, innermost m = 0, and gray = 0 is the principal sheet.
     # A float whose radicands can never go negative runs on math.sqrt,
     # which returns the float principal_sqrt would: from [-1, 1] every
     # radicand lies in [0, 1], and a finite y > 1 on the principal sheet
@@ -306,6 +300,8 @@ def _tower(y: Scalar, depth: int, gray: int,
         y = sqrt((y + 1.0) / 2.0)
         if gray >> m & 1:
             y = -y
+        if ys is not None:
+            ys.append(y)
     return (2.0 ** depth) * outer(y)
 
 
@@ -406,8 +402,9 @@ def nested_acosh(y: Scalar, depth: int = 10) -> Scalar:
 def _inverse_sequence(y: Scalar, depth: int,
                       outer: Callable[[Scalar], Scalar]) -> list[Scalar]:
     check_depth(depth)
-    ys = _trace(y, half_angle_step, depth)[1:]
-    return ys + [(2.0 ** depth) * outer(ys[-1])]
+    ys: list[Scalar] = []
+    value = _tower(y, depth, 0, outer, ys)
+    return ys + [value]
 
 
 def nested_acos_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
@@ -513,7 +510,9 @@ def log_limit(y: Scalar, n: int) -> Scalar:
         raise ValueError(f"n must be a power of two, got {n}")
     if y == 0:
         raise ZeroDivisionError("logarithm of zero")
-    return n * (_trace(y, principal_sqrt, n.bit_length() - 1)[-1] - 1.0)
+    for _ in range(n.bit_length() - 1):
+        y = principal_sqrt(y)
+    return n * (y - 1.0)
 
 
 def _index_error(k: object, limit: str, bound: str) -> ValueError:

@@ -16,7 +16,8 @@ The sections:
   tables    both tables and a sweep across all branches (257 to 512 rows)
             at depths 10, 20 and 30;
   calls     every public function called directly, bad depths, seed
-            orders, branch indices, widths and limit indices included;
+            orders, branch indices, widths and limit indices included,
+            and the sequences and log_limit at the towers' odd inputs;
   expand    str of every coefficient at depths 1..9 in both variants,
             evaluate at 11 points (signed zero, inf, nan, 1e200 and complex
             ones) at depths 1..10, maclaurin_error_profile at depths 1..12
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 from collections.abc import Iterator
+from fractions import Fraction
 
 import nestrad
 from nestrad import (
@@ -48,6 +50,11 @@ BAD_INTS = [0, -1, 2.5, True, None]
 # Signed zero, nan, overflow of u = x*x and complex u with Re(u) < 0 too.
 EVAL_XS = [0.0, -0.0, 0.5, -1.0, 3.0, 100.0, 1e200, float("inf"), float("nan"),
            1 + 2j, -0.5 - 3j]
+# Ints, a bool, a Fraction, zero imaginary parts of both signs, inf, nan and
+# two non-numbers: inputs off the kernels' float paths.
+ODD_ARGS = [0, 3, -2, True, Fraction(1, 3), complex(0.5, 0.0), complex(0.5, -0.0),
+            complex(-2.0, -0.0), float("inf"), float("-inf"), float("nan"),
+            "0.5", None]
 
 
 def outcome(fn, *args, **kwargs) -> str:
@@ -125,6 +132,15 @@ def _calls() -> Iterator[str]:
                 yield outcome(fn, z, n)
         for k in (0, 1, 2, 5, -1, 2.5):
             yield outcome(nestrad.branch_oracle_acos, z, k)
+    for z in ODD_ARGS:
+        for fn in (nestrad.nested_cos_sequence, nestrad.nested_cosh_sequence):
+            for cfg in configs:
+                yield outcome(fn, z, cfg)
+        for fn in (nestrad.nested_acos_sequence, nestrad.nested_acosh_sequence):
+            for depth in (1, 10, 25, 30):
+                yield outcome(fn, z, depth)
+        for n in (1, 2, 1024, 2 ** 30):
+            yield outcome(nestrad.log_limit, z, n)
     for width in (1, 4, 10, 1023, *BAD_INTS, 1024):
         for k in (0, 1, 2, 5, 9, 255, 256, *BAD_INTS[1:]):
             yield outcome(nestrad.gray_signs, k, width)

@@ -17,7 +17,7 @@ import nestrad
 from nestrad import extract_branch, nested_acos_branch, sweep_branches
 from nestrad import cli
 from nestrad.cli import _parse_depths, fmt_real, fmt_scalar, main, parse_scalar
-from nestrad.core import _gray_tree
+from nestrad.core import _BATCH, _gray_tree
 
 from bitwise import assert_bitwise_equal
 from test_cli_golden import SWEEP_16K_SHA256
@@ -319,6 +319,12 @@ def test_sweep_chunks_share_one_gray_tree(monkeypatch):
     _gray_tree.cache_clear()
     assert run_cli(["sweep", "--kmax", "16383", "--depth", "25"])[0] == 0
     assert _gray_tree.cache_info().misses == 1
+
+
+def test_a_sweep_chunk_is_one_batch():
+    # The CLI's chunk and core's batch are one size, so each chunk's rows
+    # climb as one batch from one Gray tree, never split across two.
+    assert cli._CHUNK_ROWS == _BATCH
 
 
 def test_sweep_beside_an_ignored_sigchld(monkeypatch):

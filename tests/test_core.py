@@ -459,7 +459,9 @@ def test_forward_sequences_are_the_recorded_chain(x, cfg):
 
 @pytest.mark.parametrize("depth", [1, 2, 10, 25])
 @pytest.mark.parametrize("y", [-1.0, -0.3, 0.0, 0.5, 1.0, 1.5, 10.0,
-                               2 + 3j, -2 + 3j, 0.3 - 0.1j])
+                               2 + 3j, -2 + 3j, 0.3 - 0.1j, 0, True,
+                               Fraction(1, 3), complex(0.5, -0.0), math.inf,
+                               -math.inf, math.nan, 1e300])
 def test_inverse_sequences_are_the_recorded_tower(y, depth):
     # Entry 0 is the first half-angle image of y, each later radical is the
     # public half-angle step of the one before, and the closing entry is the
@@ -619,7 +621,8 @@ def test_real_tower_runs_on_math_sqrt(y, gray, calls, monkeypatch):
     # Only the closing map goes through principal_sqrt on the float path.
     # Other real types, a complex with a zero imaginary part included, take
     # principal_sqrt at every radical; it gives them the same bits
-    # (test_tower_matches_literal_loop).
+    # (test_tower_matches_literal_loop).  The sequences record the
+    # principal tower's own radicals, so they take its path too.
     seen = []
 
     def counted(z):
@@ -627,5 +630,11 @@ def test_real_tower_runs_on_math_sqrt(y, gray, calls, monkeypatch):
         return principal_sqrt(z)
 
     monkeypatch.setattr(core, "principal_sqrt", counted)
-    _tower(y, 25, gray, acos_outer)
-    assert len(seen) == calls
+    runs = [lambda: _tower(y, 25, gray, acos_outer)]
+    if not gray:
+        runs += [lambda: nested_acos_sequence(y, 25),
+                 lambda: nested_acosh_sequence(y, 25)]
+    for run in runs:
+        seen.clear()
+        run()
+        assert len(seen) == calls

@@ -186,7 +186,7 @@ def test_one_module_reads_each_convention():
     # _towers, but no other module reads their parts.
     homes = {"_tower": "core", "_gray": "core", "_gray_tree": "core",
              "_climb": "core", "_forward": "core", "_seed": "core",
-             "_trace": "core", "_odd": "core", "_reflect": "verify"}
+             "_odd": "core", "_reflect": "verify"}
     strays = sorted((name, private) for name, tree in _modules().items()
                     for private in homes.keys() & set(_reads(tree))
                     if homes[private] != name)
