@@ -4,8 +4,8 @@ Output is deterministic: 15 significant digits (repr for the largest
 floats), complex values as a+bi / a-bi with no spaces, zeros normalized
 to "0".  Exit codes: 0 success, 1 output cut short (stdout closed, as by
 | head, or a failed sweep worker), 2 argument or validation error, 3
-numeric error (overflow or pole).  A sweep of more than 4096 rows runs
-on every CPU the process may use, in forked workers, byte for byte.
+numeric error (overflow, pole, or no finite eval error).  A sweep of
+over 4096 rows runs in forked workers on every usable CPU, byte for byte.
 
 A call in canonical form (the command first, each option spelled out
 once with its value next) is read against one table of every command's
@@ -108,6 +108,8 @@ def _cmd_eval(args: SimpleNamespace) -> None:
     z = parse_scalar(args.arg)
     r = eval_report(args.fn, z, depth=args.depth, seed_order=args.seed_order,
                     branch=args.branch)
+    if not cmath.isfinite(r.abs_error):  # NaN and Infinity are not JSON
+        raise OverflowError(f"value {fmt_scalar(r.value)} has no finite error")
     if args.as_json:
         import json
         print(json.dumps({
@@ -221,18 +223,18 @@ def _cmd_table2(args: SimpleNamespace) -> None:
 
 
 def _cmd_expand(args: SimpleNamespace) -> None:
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
     from .expand import expand_nested_cos
     variant = "hyperbolic" if args.hyperbolic else "circular"
     coeffs = expand_nested_cos(args.depth, variant).coeffs
-    try:
-        lines = [f"{j},{c}" for j, c in enumerate(coeffs)]
-    except ValueError as exc:
-        # Python's int-to-str digit limit; the coefficients themselves exist.
-        raise ValueError(
-            f"depth {args.depth} coefficients have more digits than Python's "
-            "integer string conversion limit; set PYTHONINTMAXSTRDIGITS=0 "
-            "to lift it") from exc
-    print("\n".join(["j,coefficient", *lines]))
+    # Denominators 2**t rise with j; as exact Decimals their text has no digit limit.
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    lines, den, s = ["j,coefficient", "0,1"], Decimal(1), 0
+    for j, c in enumerate(coeffs[1:], 1):
+        t = c.denominator.bit_length() - 1
+        den, s = exact.multiply(den, 1 << t - s), t
+        lines.append(f"{j},{c.numerator}/{den!s}")
+    print("\n".join(lines))
 
 
 def _cmd_signs(args: SimpleNamespace) -> None:

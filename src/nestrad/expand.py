@@ -27,10 +27,10 @@ __all__ = [
 ]
 
 #: Coefficient count 2**depth + 1 and bit-lengths grow geometrically.  From
-#: depth 10 on, denominators pass Python's 4300-digit int-to-str limit, so
-#: the CLI prints them only if PYTHONINTMAXSTRDIGITS lifts it.  Depths 1..9
-#: are built once per process (1.24 MB for all 18 polys with evaluators,
-#: CPython 3.11); keeping 10..12 too would hold 77 MB, 29.5 MB at depth 12.
+#: depth 10 on, denominators pass Python's 4300-digit int-to-str limit (the
+#: CLI prints them as exact Decimals).  Depths 1..9 are built once per
+#: process (1.24 MB for all 18 polys with evaluators, CPython 3.11);
+#: keeping 10..12 too would hold 77 MB, 29.5 MB at depth 12.
 EXPANSION_DEPTH_CAP = 12
 _ZERO = Fraction(0)
 

@@ -576,7 +576,7 @@ def test_repeated_invocations_are_byte_identical():
     (["table1", "--depth", "5"], 2, "depth >= 10"),
     (["table2", "--depth", "0"], 2, "positive integer"),
     (["expand", "--depth", "13"], 2, "1..12"),
-    (["expand", "--depth", "10"], 2, "PYTHONINTMAXSTRDIGITS"),
+    (["eval", "atan", "1e300+1e300i", "--json"], 3, "has no finite error"),
     (["eval", "acos", "0.5", "--seed-order", "9"], 2,
      "seed_order must be in 1..4"),
     (["converge", "log", "2", "--depths", "4..5", "--seed-order", "0"], 2,

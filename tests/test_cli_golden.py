@@ -84,7 +84,7 @@ def test_valid_call_parses_like_the_full_tree_with_no_parser(monkeypatch):
     # full tree's.
     accepted = [(r["argv"], want) for r in RECORDS
                 if (want := _full_tree_vars(build_parser(), r["argv"]))]
-    assert len(accepted) == 39
+    assert len(accepted) == 42
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -104,7 +104,7 @@ def test_valid_call_parses_like_the_full_tree_with_no_parser(monkeypatch):
             # The root parser, then each command's, once.
             assert built == ["nestrad", *(f"nestrad {name}" for name in cli._COMMANDS)]
         assert vars(cli._parse(argv)) == want, argv
-    assert canonical == 34
+    assert canonical == 37
     assert {argv[0] for argv, _ in accepted if cli._scan(argv)} == set(cli._COMMANDS)
 
 
@@ -175,12 +175,22 @@ def test_records_replay_byte_identical_twice_in_one_process():
 SWEEP_16K_SHA256 = "de3da393a7b71e5ba8b0e43b9dec62769b4e24dd2f2a127fb29e2086338df5c2"
 
 
-# sha256 of the stdout of expand --depth 9, keyed by the arguments that
-# follow; 257 coefficients with denominators of up to 2,775 digits.
-EXPAND_9_SHA256 = {
-    (): "879982156b1836b4cc68ed62c161521325dffa60c27ef21e6441e229464845e2",
-    ("--hyperbolic",):
+# sha256 of the stdout of deep expand calls, keyed by argv: 257
+# coefficients with denominators of up to 2,775 digits at depth 9, 1,025 of
+# up to 6,166 at depth 10 and 4,097 of up to 29,593 at depth 12.  Depths 10
+# and 12 were recorded from Fraction's own text with Python's int-to-str
+# digit limit lifted.  Tier-1 checks depths 9 and 10; CI checks them all.
+EXPAND_SHA256 = {
+    ("expand", "--depth", "9"):
+        "879982156b1836b4cc68ed62c161521325dffa60c27ef21e6441e229464845e2",
+    ("expand", "--depth", "9", "--hyperbolic"):
         "8236468e8b170ea87401530a53b77f040c448f7891b56d496fdcde1acf757b4c",
+    ("expand", "--depth", "10"):
+        "38773ef8c9b62f6179e70603d4f4a4b2f44e18a56a06b0c76d9bd89ccfe8f503",
+    ("expand", "--depth", "10", "--hyperbolic"):
+        "489cf50f79abdfbe791243616d9daeaa3456d13996e000950b5f3022f8145ebe",
+    ("expand", "--depth", "12"):
+        "0cd00d01646f1dde5b78d7bffe8d751710bd63b4416725fa759cd305d9a87e86",
 }
 
 
@@ -190,12 +200,25 @@ def test_large_sweep_stdout_digest():
     assert hashlib.sha256(t["stdout"].encode()).hexdigest() == SWEEP_16K_SHA256
 
 
-@pytest.mark.parametrize("extra", sorted(EXPAND_9_SHA256))
-def test_deep_expand_stdout_digest(extra):
-    t = transcript(["expand", "--depth", "9", *extra])
+@pytest.mark.parametrize("argv", [a for a in EXPAND_SHA256 if int(a[2]) <= 10],
+                         ids=" ".join)
+def test_deep_expand_stdout_digest(argv):
+    t = transcript(list(argv))
     assert (t["exit"], t["stderr"]) == (0, "")
-    assert hashlib.sha256(t["stdout"].encode()).hexdigest() == \
-        EXPAND_9_SHA256[extra]
+    assert hashlib.sha256(t["stdout"].encode()).hexdigest() == EXPAND_SHA256[argv]
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def test_json_reports_are_strict_json():
+    # json.dumps writes NaN and Infinity unless told not to; no successful
+    # --json record may hold them.
+    reports = [r["stdout"] for r in RECORDS if r["exit"] == 0 and "--json" in r["argv"]]
+    assert reports
+    for stdout in reports:
+        assert isinstance(json.loads(stdout, parse_constant=_not_json), dict)
 
 
 if __name__ == "__main__":
