@@ -8,12 +8,12 @@ numeric error (overflow, pole, or no finite eval error).  A sweep of
 over 4096 rows runs in forked workers on every usable CPU, byte for byte.
 
 A call in canonical form (the command first, each option spelled out
-once with its value next) is read against one table of every command's
-arguments, with no parser built and argparse not loaded.  Help, errors
-and every other form go to the full argparse tree, built afresh from
-that table, so every message reads as it did.  Importing the CLI loads
-core and verify, not expand, which the expand command loads on its
-first call.
+once with its value next) is read against plans built at import from one
+table of every command's arguments, with no parser built and argparse not
+loaded.  Help, errors and every other form go to the full argparse tree,
+built afresh from that table, so every message reads as it did.  Each
+command but sweep prints once.  Importing the CLI loads core and verify,
+not expand: expand loads it, and its exact context, on its first call.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 import re
 import sys
 import threading
+from functools import cache
 from itertools import chain
 from types import SimpleNamespace
 
@@ -123,19 +124,16 @@ def _cmd_eval(args: SimpleNamespace) -> None:
             "branch": r.branch,
         }))
         return
-    print(f"value {fmt_scalar(r.value)}")
-    print(f"oracle {fmt_scalar(r.oracle_value)}")
-    print(f"abs_error {fmt_real(r.abs_error)}")
-    print(f"rel_error {fmt_real(r.rel_error)}")
+    print(f"value {fmt_scalar(r.value)}\noracle {fmt_scalar(r.oracle_value)}\n"
+          f"abs_error {fmt_real(r.abs_error)}\nrel_error {fmt_real(r.rel_error)}")
 
 
 def _cmd_converge(args: SimpleNamespace) -> None:
     z = parse_scalar(args.arg)
     rows = converge(args.fn, z, _parse_depths(args.depths), args.seed_order)
-    print("depth,value,abs_error,error_ratio")
-    for row in rows:
-        print(f"{row.depth},{fmt_scalar(row.value)},"
-              f"{fmt_real(row.abs_error)},{fmt_real(row.error_ratio)}")
+    print("\n".join(["depth,value,abs_error,error_ratio"] + [
+        f"{row.depth},{fmt_scalar(row.value)},{fmt_real(row.abs_error)},"
+        f"{fmt_real(row.error_ratio)}" for row in rows]))
 
 
 def _cmd_sweep(args: SimpleNamespace) -> None:
@@ -207,29 +205,30 @@ def _chunk(args: SimpleNamespace, k: int) -> str:
 
 
 def _cmd_table1(args: SimpleNamespace) -> None:
-    rows = reproduce_table1(args.depth)
-    print(f"{'signs':<8}{'value':<20}limit")
-    for row in rows:
-        limit = f"{2 * row.k + 1}pi/2" if row.k else "pi/2"
-        print(f"{row.pattern:<8}{fmt_real(row.value):<20}{limit}")
+    print("\n".join([f"{'signs':<8}{'value':<20}limit"] + [
+        f"{row.pattern:<8}{fmt_real(row.value):<20}{2 * row.k + 1 if row.k else ''}pi/2"
+        for row in reproduce_table1(args.depth)]))
 
 
 def _cmd_table2(args: SimpleNamespace) -> None:
-    rows = reproduce_table2(args.depth)
-    print(f"{'k':<4}{'acos(1)/pi':<20}acos(-1)/pi")
-    for row in rows:
-        print(f"{row.k:<4}{fmt_real(row.at_plus_one):<20}"
-              f"{fmt_real(row.at_minus_one)}")
+    print("\n".join([f"{'k':<4}{'acos(1)/pi':<20}acos(-1)/pi"] + [
+        f"{row.k:<4}{fmt_real(row.at_plus_one):<20}{fmt_real(row.at_minus_one)}"
+        for row in reproduce_table2(args.depth)]))
+
+
+@cache
+def _exact():  # expand's imports and exact context, made on its first call
+    from decimal import MAX_EMAX, MAX_PREC, Context, Inexact
+    from .expand import expand_nested_cos
+    return expand_nested_cos, Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
 
 
 def _cmd_expand(args: SimpleNamespace) -> None:
-    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
-    from .expand import expand_nested_cos
+    expand_nested_cos, exact = _exact()
     variant = "hyperbolic" if args.hyperbolic else "circular"
     coeffs = expand_nested_cos(args.depth, variant).coeffs
     # Denominators 2**t rise with j; as exact Decimals their text has no digit limit.
-    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
-    lines, den, s = ["j,coefficient", "0,1"], Decimal(1), 0
+    lines, den, s = ["j,coefficient", "0,1"], 1, 0
     for j, c in enumerate(coeffs[1:], 1):
         t = c.denominator.bit_length() - 1
         den, s = exact.multiply(den, 1 << t - s), t
@@ -239,9 +238,8 @@ def _cmd_expand(args: SimpleNamespace) -> None:
 
 def _cmd_signs(args: SimpleNamespace) -> None:
     signs = gray_signs(args.branch, args.width)
-    if not args.inner_first:
-        signs = tuple(reversed(signs))
-    print("".join("+" if s > 0 else "-" for s in signs))
+    print("".join("+" if s > 0 else "-"
+                  for s in (signs if args.inner_first else reversed(signs))))
 
 
 # Each command's help, handler, positionals and options.  A positional is
@@ -279,39 +277,44 @@ _COMMANDS = {
 }
 # 640 digits at most: the least integer string limit Python can be set to.
 _INT = re.compile(r"-?[0-9]{1,640}")
+# Each command's scanner plan: namespace defaults with command and handler,
+# required flags, positionals, options, and the match of an option (_NEGATIVE).
+_PLANS = {name: ({**{dest: default for dest, _, default, _ in options.values()},
+                  "command": name, "handler": handler},
+                 {flag for flag, option in options.items() if option[2] is None},
+                 positionals, options,
+                 re.compile(r"-(?![\d.i])" if positionals else "-").match)
+          for name, (_, handler, positionals, options) in _COMMANDS.items()}
 
 
 def _scan(argv: list[str]) -> SimpleNamespace | None:
-    # The namespace argparse makes of a valid call in canonical form, else
-    # None: the command first, each option in full at most once with its
-    # value next (a missing one reads "-", which fails), ints in ASCII digits,
-    # a leading minus only on a scalar, and every positional and required
-    # option given.  Help, errors and every other form are argparse's.
-    if not argv or argv[0] not in _COMMANDS:
+    # argparse's namespace for a valid call in canonical form, else None:
+    # each option in full at most once with its value next, ints in ASCII
+    # digits, a minus only on a scalar.  Help, errors and the rest are argparse's.
+    if not argv or (plan := _PLANS.get(argv[0])) is None:
         return None
-    _, handler, positionals, options = _COMMANDS[argv[0]]
-
-    def arg(text: str) -> bool:  # a token argparse reads as an argument here
-        return text[:1] != "-" or bool(positionals and _NEGATIVE.match(text))
-
-    args = {dest: default for dest, _, default, _ in options.values()}
-    args.update(command=argv[0], handler=handler)
-    flags, values, tokens = dict(options), [], iter(argv[1:])
+    defaults, required, positionals, options, option_like = plan
+    args, seen, values, tokens = defaults.copy(), set(), [], iter(argv[1:])
     for token in tokens:
-        if (option := flags.pop(token, None)) is None:  # a repeat is no flag
+        if (option := options.get(token)) is None:
             values.append(token)
-        elif option[1] is bool:
-            args[option[0]] = True
-        elif (_INT.fullmatch if option[1] is int else arg)(value := next(tokens, "-")):
-            args[option[0]] = option[1](value)
+            continue
+        dest, kind = option[0], option[1]
+        if token in seen or kind is not bool and (value := next(tokens, None)) is None:
+            return None
+        seen.add(token)
+        if kind is bool:
+            args[dest] = True
+        elif _INT.fullmatch(value) if kind is int else not option_like(value):
+            args[dest] = kind(value)
         else:
             return None
-    pairs = list(zip(positionals, values))
-    if (any(option[2] is None for option in flags.values())
-            or len(values) != len(positionals) or not all(map(arg, values))
-            or any(choices and v not in choices for (_, choices, _), v in pairs)):
+    if len(values) != len(positionals) or not required <= seen:
         return None
-    args.update((dest, v) for (dest, _, _), v in pairs)
+    for (dest, choices, _), value in zip(positionals, values):
+        if option_like(value) or choices and value not in choices:
+            return None
+        args[dest] = value
     return SimpleNamespace(**args)
 
 
@@ -357,9 +360,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parse(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         args.handler(args)
         sys.stdout.flush()

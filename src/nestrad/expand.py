@@ -75,6 +75,10 @@ class RationalPoly:
         On first use, once per poly, the coefficients go to float (top
         0.0s dropped: from depth 7 on 88-89 remain) and are bound to a
         straight-line evaluator compiled once per process per length.
+        Circular terms alternate in sign and cancel: at depth 10 the sum is
+        1.6e-14, 1.9e-4 and 9.8e30 off at x = 10, 30 and 100, relative to
+        max(|P|, 1); hyperbolic terms do not.  nested_cos and nested_cosh at
+        EvalConfig(depth, 2) evaluate the same polynomials within 6e-14 there.
         """
         return _horner_maker(len(self._horner))(*self._horner)
 

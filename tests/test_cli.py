@@ -551,6 +551,14 @@ def test_expand_hyperbolic():
     assert out == "j,coefficient\n0,1\n1,1/2\n2,1/32\n"
 
 
+def test_expand_makes_its_exact_setup_once():
+    # The first expand call of a process makes its imports and its exact
+    # decimal context; every later call reuses them.
+    for argv in (["expand", "--depth", "2"], ["expand", "--depth", "3", "--hyperbolic"]):
+        assert run_cli(argv)[0] == 0
+    assert cli._exact.cache_info().misses == 1
+
+
 def test_signs_inner_first():
     code, out, _ = run_cli(["signs", "--branch", "2", "--width", "4",
                             "--inner-first"])

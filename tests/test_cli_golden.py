@@ -154,6 +154,10 @@ _FULL_TREE = build_parser()  # one parser serves every draw: each parse is fresh
 @example(["eval", "cos", "-x"])
 @example(["converge", "cos", "1", "--depths", "-x"])
 @example(["sweep", "--kmax", "5" * 4301])
+@example(["eval", "cos", "1", "--json", "--json"])  # a repeated flag
+@example(["table1", "--depth"])  # an option last, with no value
+@example(["converge", "cos", "1", "--depths", "--seed-order", "3"])  # a flag as value
+@example(["sweep", "--depth", "4"])  # a required option missing
 def test_scan_is_the_full_tree_or_none(argv):
     # A scanned call is one the full tree accepts, with the same namespace;
     # wherever the full tree exits (help or an error), the scanner declines.

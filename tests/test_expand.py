@@ -22,6 +22,7 @@ from nestrad import (
     expand_nested_cos,
     maclaurin_error_profile,
     nested_cos,
+    nested_cosh,
 )
 from nestrad.expand import _build
 
@@ -186,6 +187,32 @@ def test_evaluate_matches_floating_chain(depth):
     poly = expand_nested_cos(depth).evaluate(math.pi / 3)
     chain = nested_cos(math.pi / 3, EvalConfig(depth, 2))
     assert abs(poly - chain) <= 1e-12
+
+
+def test_evaluate_states_where_it_loses_digits():
+    # evaluate's docstring and the README: at depth 10 the circular float
+    # Horner cancels, 1.6e-14, 1.9e-4 and 9.8e30 off at x = 10, 30 and 100
+    # relative to max(|P|, 1); the hyperbolic one does not (its 1.4e-12 at
+    # x = 100 is coefficients that round to subnormal or zero floats); and
+    # the seed-order-2 chains evaluate both polynomials within 6e-14.
+    # Each is measured against the exact Horner sum, in integers over the
+    # last coefficient's denominator 2**t, the largest: a Fraction Horner's
+    # value, 100 times faster.
+    stated = {"circular": ["1.6e-14", "1.9e-04", "9.8e+30"], "hyperbolic": [None] * 3}
+    for variant, chain in [("circular", nested_cos), ("hyperbolic", nested_cosh)]:
+        poly = expand_nested_cos(10, variant)
+        t = poly.coeffs[-1].denominator.bit_length() - 1
+        for x, want in zip((10.0, 30.0, 100.0), stated[variant]):
+            acc = 0
+            for c in reversed(poly.coeffs):
+                shift = t + 1 - c.denominator.bit_length()
+                acc = acc * int(x) ** 2 + (c.numerator << shift)
+            exact = Fraction(acc, 1 << t)
+            scale = max(abs(exact), 1)
+            off = float(abs(Fraction(poly.evaluate(x)) - exact) / scale)
+            assert f"{off:.1e}" == want if want else off < 1e-11, (variant, x, off)
+            off = float(abs(Fraction(chain(x, EvalConfig(10, 2))) - exact) / scale)
+            assert off < 6e-14, (variant, x, off)
 
 
 @pytest.mark.parametrize("variant", ["circular", "hyperbolic"])

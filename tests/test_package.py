@@ -1,6 +1,8 @@
 """The package's public surface: the names it exports and where they live."""
 
 import ast
+import contextlib
+import io
 import os
 import pathlib
 import subprocess
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 import nestrad
-from nestrad import core, expand, verify
+from nestrad import cli, core, expand, verify
 
 PUBLIC = {
     "DEFAULT_CONFIG", "DEPTH_MAX", "EXPANSION_DEPTH_CAP",
@@ -88,20 +90,29 @@ def test_import_loads_no_expansion():
 
 def test_canonical_call_loads_no_argparse():
     # A fresh interpreter imports the CLI and runs a valid call in canonical
-    # form without loading argparse: only help, errors and other forms
-    # build a parser.
+    # form of every command without loading argparse: only help, errors and
+    # other forms build a parser.  Its stdout is what each call prints here.
+    calls = [["eval", "cos", "0.7", "--depth", "12"],
+             ["converge", "cos", "-0.5", "--depths", "4..6"],
+             ["sweep", "--kmax", "5", "--depth", "4"], ["table1", "--depth", "10"],
+             ["table2", "--depth", "10"], ["expand", "--depth", "2"],
+             ["signs", "--branch", "3", "--width", "5"]]
+    assert [argv[0] for argv in calls] == list(cli._COMMANDS)
     code = ("import sys\n"
             "bare = set(sys.modules)\n"
             "import nestrad.cli\n"
-            "nestrad.cli.main(['eval', 'cos', '0.7', '--depth', '12'])\n"
-            "print(*sorted(set(sys.modules) - bare))\n")
+            f"assert [nestrad.cli.main(argv) for argv in {calls!r}] == [0] * 7\n"
+            "print(*sorted(set(sys.modules) - bare), file=sys.stderr)\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nestrad.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    *report, added = out.stdout.splitlines()
-    assert [line.split()[0] for line in report] == [
-        "value", "oracle", "abs_error", "rel_error"]
-    assert "nestrad.cli" in added.split() and "argparse" not in added.split()
+    printed = []
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            cli.main(argv)
+        printed.append(stdout.getvalue())
+    assert out.stdout == "".join(printed)
+    assert "nestrad.cli" in out.stderr.split() and "argparse" not in out.stderr.split()
 
 
 def _modules():
