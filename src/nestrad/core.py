@@ -4,10 +4,11 @@ The forward direction seeds a short even series at the reduced argument
 x / 2**depth and doubles the angle ``depth`` times: -1 + 2*y**2 on the
 deviation 1 - y, and Viete's sin 2t = 2 sin t cos t beside it.  Of that
 pair (c, s), cos and cosh are c, sin and sinh s, tan and tanh s/c, exp
-c + s; s is odd and entire, so no sign is restored.  The inverse direction
-runs the cosine chain backwards as a tower of square roots and closes with
-sqrt(2*(1 -+ y)) scaled by 2**depth; signs on the radicals read off the Gray
-code of k give branch k, so consecutive k differ in one sign.  asin, atan,
+c + s (1/(c - s) for re x < 0); s is odd and entire, so no sign is restored.
+The inverse direction runs the cosine chain backwards as a tower of square
+roots on the deviation d of each iterate +-(1 - d) from +-1, and closes with
+sqrt(+-2d) scaled by 2**depth; signs on the radicals read off the Gray code
+of k give branch k, so consecutive k differ in one sign.  asin, atan,
 log and kin reach it through square roots, which forget signs: atan, asinh
 and atanh restore a real input's sign; asin returns the magnitude branch.
 Each *_sequence function lists the iterates its kernel records as it runs.
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
+from operator import and_, or_
 
 __all__ = [
     "DEPTH_MAX",
@@ -142,7 +143,7 @@ def double_angle_step(x: Scalar) -> Scalar:
 
 
 def half_angle_step(y: Scalar) -> Scalar:
-    """One principal inverse step, cos(t) to cos(t/2); no library path runs it."""
+    """One literal inverse step, cos(t) to cos(t/2); the tower steps 1 -+ cos t."""
     return principal_sqrt((y + 1.0) / 2.0)
 
 
@@ -252,9 +253,9 @@ def nested_tanh(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
 
 
 def nested_exp(x: Scalar, cfg: EvalConfig = DEFAULT_CONFIG) -> Scalar:
-    """exp(x) as nested_cosh(x) + nested_sinh(x), from one chain."""
+    """exp(x) as cosh + sinh from one chain, or 1/(cosh - sinh) if re x < 0."""
     c, s = _forward(x, cfg, True)
-    return c + s
+    return 1.0 / (c - s) if _real(x) < 0.0 else c + s
 
 
 def exp_limit(x: Scalar, n: int) -> Scalar:
@@ -274,35 +275,50 @@ def exp_limit(x: Scalar, n: int) -> Scalar:
 
 
 def acos_outer(y: Scalar) -> Scalar:
-    """Closing map sqrt(2*(1 - y)); inverts the two-term cosine seed."""
+    """Closing map sqrt(2*(1 - y)); inverts the two-term cosine seed.
+
+    No kernel runs it: the tower closes on the deviation 1 - y itself.
+    """
     return principal_sqrt(2.0 * (1.0 - y))
 
 
 def acosh_outer(y: Scalar) -> Scalar:
-    """Closing map sqrt(2*(y - 1)), the hyperbolic twin of acos_outer."""
+    """Closing map sqrt(2*(y - 1)), the hyperbolic twin; no kernel runs it."""
     return principal_sqrt(2.0 * (-1.0 + y))
 
 
-def _tower(y: Scalar, depth: int, gray: int, outer: Callable[[Scalar], Scalar],
+def _tower(y: Scalar, depth: int, gray: int, hyperbolic: bool,
            ys: list | None = None) -> Scalar:
     # The one radical tower behind every inverse entry; ys, given a list,
-    # records its iterates.  Bit m of the Gray code gray negates the iterate
-    # after radical m, innermost m = 0, and gray = 0 is the principal sheet.
-    # A float whose radicands can never go negative runs on math.sqrt,
-    # which returns the float principal_sqrt would: from [-1, 1] every
-    # radicand lies in [0, 1], and a finite y > 1 on the principal sheet
-    # stays above 1.
-    sqrt = principal_sqrt
-    if isinstance(y, float) and (-1.0 <= y <= 1.0 or not gray and 1.0 < y < math.inf):
-        sqrt = math.sqrt
-    # The half-angle step is inlined for scalar and single-branch inverses.
-    for m in range(depth):
-        y = sqrt((y + 1.0) / 2.0)
-        if gray >> m & 1:
-            y = -y
+    # records its iterates.  Bit m of the Gray code gray < 2**(depth-1)
+    # negates the iterate after radical m, innermost m = 0.  The iterate
+    # v = +-(1 - d), - after a set bit, is carried as p = 2d, so no iterate
+    # near +-1 is rounded.  Of a = 4r for the radicand r = (v + 1)/2, a
+    # radical makes p = 2 - sqrt(a), or (4 - a)/(2 + sqrt(a)) where that
+    # cancels; the test is on a, so iterates +0 and -0 step alike.  A float
+    # from [-1, 1], or finite above 1 on the principal sheet, has no a < 0
+    # and runs on math.sqrt, as principal_sqrt would.  Where 2(1 -+ y)
+    # overflows, radical 0 is taken literally: it loses nothing there.
+    neg = (y.real if isinstance(y, complex) else y) < 0.0
+    p = 2.0 * (1.0 + y) if neg else 2.0 * (1.0 - y)
+    if cmath.isinf(p) and cmath.isfinite(y):
+        v = principal_sqrt((y + 1.0) / 2.0) * (-1.0 if gray & 1 else 1.0)
         if ys is not None:
-            ys.append(y)
-    return (2.0 ** depth) * outer(y)
+            ys.append(v)
+        return 2.0 * _tower(v, depth - 1, gray >> 1, hyperbolic, ys)
+    fast = isinstance(y, float) and (-1.0 <= y <= 1.0 or not gray and 1.0 < y < math.inf)
+    sqrt = math.sqrt
+    for m in range(depth):
+        if fast:
+            p = 2.0 - sqrt(p) if neg and p != 2.0 else p / (2.0 + sqrt(4.0 - p))
+        else:
+            a = p if neg else 4.0 - p
+            s = principal_sqrt(a)
+            p = 2.0 - s if a.real < 2.0 else (4.0 - p if neg else p) / (2.0 + s)
+        neg = gray >> m & 1
+        if ys is not None:
+            ys.append(p * 0.5 - 1.0 if neg else 1.0 - p * 0.5)
+    return (2.0 ** depth) * principal_sqrt(0.0 - p if hyperbolic else p)
 
 
 #: Branches per batch of _towers, and leaves of its Gray tree at most:
@@ -318,13 +334,10 @@ def _gray(k: int) -> int:
 def _towers(y: float, depth: int, ks: Sequence[int]
             ) -> Iterator[tuple[Sequence[int], list[float]]]:
     # (chunk, values) for each run of at most _BATCH branch indices of ks,
-    # where values[i] is _tower(y, depth, _gray(chunk[i]), acos_outer) bit
-    # for bit.  One Gray tree, as tall as one batch needs, serves every
-    # chunk.  Precondition, kept by every caller: the arguments are
-    # validated, y is a real float in [-1, 1] and 0 <= k < 2**(depth-1),
-    # which keeps the tree below the tower's top.  Then every radicand is
-    # a float in [0, 1], or [0, 4] for the closing map, where
-    # principal_sqrt is exactly math.sqrt.
+    # where values[i] is _tower(y, depth, _gray(chunk[i]), False) bit for
+    # bit.  One Gray tree, as tall as one batch needs, serves every chunk.
+    # Precondition, kept by every caller: the arguments are validated, y is
+    # a float in [-1, 1] and 0 <= k < 2**(depth-1), so _tower's fast path.
     tree = _gray_tree(y, (min(len(ks), _BATCH) - 1).bit_length())
     for lo in range(0, len(ks), _BATCH):
         chunk = ks[lo:lo + _BATCH]
@@ -333,77 +346,80 @@ def _towers(y: float, depth: int, ks: Sequence[int]
 
 @lru_cache(maxsize=8)
 def _gray_tree(y: float, height: int) -> tuple[float, ...]:
-    # The first height radicals of y under every sign pattern of their
-    # Gray bits, as a full binary tree: a lane with Gray code g starts at
-    # leaf g & (2**height - 1).  Lanes that agree in their low Gray bits
-    # share those inner radicals, so each is taken once.  Kept per
-    # process, so a sweep's chunks share one tree; -0.0 shares 0.0's,
-    # which only a height-0 tree holds, and the first level drops its sign.
+    # _tower's p after height + 1 radicals of y under every sign pattern
+    # of Gray bits 0..height-1, at leaf g & (2**height - 1) for Gray code
+    # g.  Radical m steps by bit m - 1 (y's sign for m = 0), so a level is
+    # roots + roots: a set bit changes the state, not p.  Kept per process
+    # for a sweep's chunks; -0.0 and 0.0 both start at p = 2.
     sqrt = math.sqrt
-    level = [y]
-    for _ in range(height):
-        roots = [sqrt((v + 1.0) / 2.0) for v in level]
-        level = roots + [-r for r in roots]
+    level = [2.0 * (1.0 + y) if y < 0.0 else 2.0 * (1.0 - y)]
+    half = 0 if y < 0.0 else 1  # leaves from half on are in the - state
+    for i in range(height + 1):
+        roots = ([p / (2.0 + sqrt(4.0 - p)) for p in level[:half]]
+                 + [2.0 - sqrt(p) if p != 2.0 else p / (2.0 + sqrt(4.0 - p))
+                    for p in level[half:]])
+        level = roots + roots if i < height else roots
+        half = len(roots)
     return tuple(level)
 
 
 def _climb(tree: Sequence[float], grays: Sequence[int], depth: int) -> list[float]:
-    # Every lane from its leaf of tree up the remaining levels of the
-    # tower, then the closing map.  Four levels whose Gray bit is clear in
-    # every lane take one fused pass, and a single clear level a plain
-    # one.  A level whose bit is set in any lane tests each lane's bit.
-    # Every radical is _tower's expression in _tower's order, so each lane
-    # is bitwise equal to it.
-    # Above the tree every level of an aligned sweep chunk is uniform: the
+    # Every lane from its leaf up the remaining radicals, then the closing
+    # map, in _tower's expressions, so each lane is bitwise _tower's.
+    # Radical m steps by Gray bit m - 1: clear in every lane, the + pass
+    # (four in a row fused); set in every lane, the - pass; else per lane.
+    # Above the tree every bit of an aligned sweep chunk is uniform: the
     # Gray codes of 2**h aligned indices differ only in their low h bits.
     sqrt = math.sqrt
     low = len(tree) - 1
     lanes = [tree[g & low] for g in grays]
     any_set = reduce(or_, grays, 0)
-    i = low.bit_length()
+    all_set = reduce(and_, grays, -1)
+    i = low.bit_length() + 1
     while i < depth:
-        if i + 4 <= depth and not any_set >> i & 15:
-            lanes = [sqrt((sqrt((sqrt((sqrt((v + 1.0) / 2.0) + 1.0) / 2.0)
-                                + 1.0) / 2.0) + 1.0) / 2.0) for v in lanes]
-            i += 4
+        bit = 1 << (i - 1)
+        if i + 4 <= depth and not any_set >> (i - 1) & 15:
+            lanes = [p / (2.0 + sqrt(4.0 - p)) for v in lanes
+                     for p in [v / (2.0 + sqrt(4.0 - v))]
+                     for p in [p / (2.0 + sqrt(4.0 - p))]
+                     for p in [p / (2.0 + sqrt(4.0 - p))]]
+            i += 3  # and one more below
+        elif not any_set & bit:
+            lanes = [p / (2.0 + sqrt(4.0 - p)) for p in lanes]
+        elif all_set & bit:
+            lanes = [2.0 - sqrt(p) if p != 2.0 else p / (2.0 + sqrt(4.0 - p))
+                     for p in lanes]
         else:
-            bit = 1 << i
-            if not any_set & bit:
-                lanes = [sqrt((v + 1.0) / 2.0) for v in lanes]
-            else:
-                lanes = [-sqrt((v + 1.0) / 2.0) if g & bit
-                         else sqrt((v + 1.0) / 2.0) for v, g in zip(lanes, grays)]
-            i += 1
+            lanes = [2.0 - sqrt(p) if g & bit and p != 2.0
+                     else p / (2.0 + sqrt(4.0 - p)) for p, g in zip(lanes, grays)]
+        i += 1
     scale = 2.0 ** depth
-    return [scale * sqrt(2.0 * (1.0 - v)) for v in lanes]
+    return [scale * sqrt(p) for p in lanes]
 
 
 def nested_acos(y: Scalar, depth: int = 10) -> Scalar:
     """Principal inverse cosine as a tower of depth half-angle radicals.
 
     Real y in [-1, 1] gives a nonnegative float, off acos(y) by up to the
-    truncation acos(y)**3 / (24 * 4**depth) plus roundoff of about
-    2**depth * sqrt(eps).  Roundoff rules at large depths: the value can
-    leave [0, pi], and it is 0.0 once acos(y) < 2**depth * sqrt(eps/3),
-    or for real y > 1 once acosh(y) < 2**(depth+1) * sqrt(eps/3).  Other
-    input follows the principal sheet of each square root, so e.g. y > 1
-    is a positive multiple of 1j.
+    truncation acos(y)**3 / (24 * 4**depth) plus a few eps of roundoff at
+    any depth: the tower carries each iterate's deviation from +-1, so no
+    digits are lost near 1.  Other input follows the principal sheet of
+    each square root, so e.g. y > 1 is a positive multiple of 1j.
     """
     check_depth(depth)
-    return _tower(y, depth, 0, acos_outer)
+    return _tower(y, depth, 0, False)
 
 
 def nested_acosh(y: Scalar, depth: int = 10) -> Scalar:
     """Principal inverse hyperbolic cosine from the same radical tower."""
     check_depth(depth)
-    return _tower(y, depth, 0, acosh_outer)
+    return _tower(y, depth, 0, True)
 
 
-def _inverse_sequence(y: Scalar, depth: int,
-                      outer: Callable[[Scalar], Scalar]) -> list[Scalar]:
+def _inverse_sequence(y: Scalar, depth: int, hyperbolic: bool) -> list[Scalar]:
     check_depth(depth)
     ys: list[Scalar] = []
-    value = _tower(y, depth, 0, outer, ys)
+    value = _tower(y, depth, 0, hyperbolic, ys)
     return ys + [value]
 
 
@@ -412,12 +428,12 @@ def nested_acos_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
 
     Returns depth + 1 entries; the last one equals nested_acos(y, depth).
     """
-    return _inverse_sequence(y, depth, acos_outer)
+    return _inverse_sequence(y, depth, False)
 
 
 def nested_acosh_sequence(y: Scalar, depth: int = 10) -> list[Scalar]:
     """Hyperbolic counterpart of nested_acos_sequence."""
-    return _inverse_sequence(y, depth, acosh_outer)
+    return _inverse_sequence(y, depth, True)
 
 
 def _odd(v: Scalar, z: Scalar) -> Scalar:
@@ -551,15 +567,14 @@ def gray_adjacent_distance(k: int, width: int) -> int:
     return (_gray(k) ^ _gray(k + 1)).bit_count()
 
 
-def _branch(y: Scalar, k: int, depth: int,
-            outer: Callable[[Scalar], Scalar]) -> Scalar:
+def _branch(y: Scalar, k: int, depth: int, hyperbolic: bool) -> Scalar:
     check_depth(depth)
     half = 2 ** (depth - 1)
     if not _is_int(k) or not -half <= k < half:
         raise _index_error(k, f"depth {depth}", f"{-half} <= k < {half}")
     if k < 0:
-        return -_tower(y, depth, _gray(-k - 1), outer)
-    return _tower(y, depth, _gray(k), outer)
+        return -_tower(y, depth, _gray(-k - 1), hyperbolic)
+    return _tower(y, depth, _gray(k), hyperbolic)
 
 
 def nested_acos_branch(y: Scalar, k: int, depth: int = 10) -> Scalar:
@@ -569,9 +584,9 @@ def nested_acos_branch(y: Scalar, k: int, depth: int = 10) -> Scalar:
     branch -k of a value is minus branch k - 1, covering the branches
     below the principal one, so -2**(depth-1) <= k < 2**(depth-1).
     """
-    return _branch(y, k, depth, acos_outer)
+    return _branch(y, k, depth, False)
 
 
 def nested_acosh_branch(y: Scalar, k: int, depth: int = 10) -> Scalar:
     """Branch k of the inverse hyperbolic cosine; mirrors nested_acos_branch."""
-    return _branch(y, k, depth, acosh_outer)
+    return _branch(y, k, depth, True)

@@ -229,10 +229,15 @@ def test_criterion_04_table2_at_depth_25():
     _assert_clean(failures)
 
 
+# Branch 100 of acos(0) at depth 25, extracted: the nested formula's value
+# at that depth; test_pins_are_same_depth_formula_values recomputes it.
+CRIT5_K100_D25 = 99.99999999962924
+
+
 def test_criterion_05_branch_extraction():
     checks = [
         ("k=100, depth 25",
-         extract_branch(nested_acos_branch(0.0, 100, 25)), 100.000014188946),
+         extract_branch(nested_acos_branch(0.0, 100, 25)), CRIT5_K100_D25),
         ("k=10^6, depth 25",
          extract_branch(nested_acos_branch(0.0, 10 ** 6, 25)),
          999634.790737135),
@@ -546,9 +551,10 @@ def test_criterion_10_accuracy_statements():
 
 
 def test_pins_are_same_depth_formula_values():
-    # Not a criterion: it checks that the pins of criteria 1 and 4, and the
-    # last three chain entries of criterion 2, are the values of the nested
-    # formula at the depth each criterion evaluates.
+    # Not a criterion: it checks that the pins of criteria 1 and 4, the
+    # k = 100 pin of criterion 5, and the last three chain entries of
+    # criterion 2, are the values of the nested formula at the depth each
+    # criterion evaluates.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         cases = [
@@ -558,6 +564,9 @@ def test_pins_are_same_depth_formula_values():
             ("acosh(-2+3i) at depth 10", ACOSH_M2_3I_D10,
              mp_tower(mpmath.mpc(-2, 3), 0, 10, True)),
         ]
+        cases.append(("branch 100 of acos(0) at depth 25, extracted",
+                      CRIT5_K100_D25,
+                      mp_tower(0, 100, 25, False) / mpmath.pi - mpmath.mpf(0.5)))
         for k in range(11):
             cases.append((f"table 2, k={k} at +1", TABLE2_PLUS[k],
                           mp_tower(1, k, 25, False) / mpmath.pi))

@@ -107,9 +107,9 @@ def test_eval_json_output():
     code, out, err = run_cli(["eval", "acos", "0", "--json"])
     assert code == 0
     assert out == (
-        '{"input": "0", "value": "1.57079617280554", '
-        '"oracle": "1.5707963267949", "abs_error": 1.53989358153694e-07, '
-        '"rel_error": 9.80326701348349e-08, "depth": 10, "seed_order": 2, '
+        '{"input": "0", "value": "1.57079617278506", '
+        '"oracle": "1.5707963267949", "abs_error": 1.54009837771696e-07, '
+        '"rel_error": 9.80457078645851e-08, "depth": 10, "seed_order": 2, '
         '"branch": 0}\n'
     )
     data = json.loads(out)
@@ -151,10 +151,10 @@ def test_eval_negative_complex_argument():
     code, out, _ = run_cli(["eval", "acos", "-2+3i"])
     assert code == 0
     assert out == (
-        "value 2.14144972510396-1.98338625571006i\n"
+        "value 2.14144972512267-1.98338625569273i\n"
         "oracle 2.141449111116-1.98338702991654i\n"
-        "abs_error 9.88117849121812e-07\n"
-        "rel_error 3.3853097957945e-07\n"
+        "abs_error 9.88143050916304e-07\n"
+        "rel_error 3.38539613760266e-07\n"
     )
 
 
@@ -178,10 +178,10 @@ def test_eval_branch_output():
     code, out, _ = run_cli(["eval", "acos", "0", "--branch", "3"])
     assert code == 0
     assert out == (
-        "value 10.9955214622637\n"
+        "value 10.9955214622645\n"
         "oracle 10.9955742875643\n"
-        "abs_error 5.28253005747104e-05\n"
-        "rel_error 4.80423297530302e-06\n"
+        "abs_error 5.28252997646916e-05\n"
+        "rel_error 4.80423290163532e-06\n"
     )
 
 
@@ -189,10 +189,10 @@ def test_eval_acosh_branch_output():
     code, out, _ = run_cli(["eval", "acosh", "0.5", "--branch", "2"])
     assert code == 0
     assert out == (
-        "value 7.33036720641667i\n"
+        "value 7.33036720642298i\n"
         "oracle 7.33038285837618i\n"
-        "abs_error 1.5651959517804e-05\n"
-        "rel_error 2.13521719399949e-06\n"
+        "abs_error 1.56519532037436e-05\n"
+        "rel_error 2.1352163326447e-06\n"
     )
 
 
@@ -225,10 +225,10 @@ def test_sweep_csv():
     assert code == 0
     assert out == (
         "k,extracted,abs_dev\n"
-        "0,-4.90163350463924e-08,4.90163350463924e-08\n"
-        "1,0.999998676381159,1.32361884075394e-06\n"
-        "2,1.99999387214632,6.12785368492297e-06\n"
-        "3,2.99998318518459,1.68148154133796e-05\n"
+        "0,-4.9022853942926e-08,4.9022853942926e-08\n"
+        "1,0.999998676383256,1.32361674443082e-06\n"
+        "2,1.99999387214759,6.12785241438374e-06\n"
+        "3,2.99998318518484,1.68148151558078e-05\n"
     )
 
 
@@ -518,17 +518,17 @@ def test_table2_layout():
     assert code == 0
     assert out == (
         "k   acos(1)/pi          acos(-1)/pi\n"
-        "0   0                   0.999999607815114\n"
-        "1   1.99999686254052    0.999999607815114\n"
-        "2   1.99999686254052    2.99998941107727\n"
-        "3   3.99997490034631    2.99998941107727\n"
-        "4   3.99997490034631    4.99995097728807\n"
-        "5   5.99991528886506    4.99995097728807\n"
-        "6   5.99991528886506    6.99986548205935\n"
-        "7   7.999799203896      6.99986548205935\n"
-        "8   7.999799203896      8.99971410143166\n"
-        "9   9.99960782177148    8.99971410143166\n"
-        "10  9.99960782177148    10.9994780120676\n"
+        "0   0                   0.999999607817203\n"
+        "1   1.99999686253873    0.999999607817203\n"
+        "2   1.99999686253873    2.99998941107445\n"
+        "3   3.9999749003453     2.99998941107445\n"
+        "4   3.9999749003453     4.99995097728883\n"
+        "5   5.99991528886473    4.99995097728883\n"
+        "6   5.99991528886473    6.99986548206038\n"
+        "7   7.9997992038964     6.99986548206038\n"
+        "8   7.9997992038964     8.99971410143214\n"
+        "9   9.99960782177126    8.99971410143214\n"
+        "10  9.99960782177126    10.9994780120673\n"
     )
 
 

@@ -84,7 +84,7 @@ def test_valid_call_parses_like_the_full_tree_with_no_parser(monkeypatch):
     # full tree's.
     accepted = [(r["argv"], want) for r in RECORDS
                 if (want := _full_tree_vars(build_parser(), r["argv"]))]
-    assert len(accepted) == 42
+    assert len(accepted) == 44
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -104,7 +104,7 @@ def test_valid_call_parses_like_the_full_tree_with_no_parser(monkeypatch):
             # The root parser, then each command's, once.
             assert built == ["nestrad", *(f"nestrad {name}" for name in cli._COMMANDS)]
         assert vars(cli._parse(argv)) == want, argv
-    assert canonical == 37
+    assert canonical == 39
     assert {argv[0] for argv, _ in accepted if cli._scan(argv)} == set(cli._COMMANDS)
 
 
@@ -176,7 +176,7 @@ def test_records_replay_byte_identical_twice_in_one_process():
 
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the
 # per-branch sweep; the 16,385-line transcript is too large to store.
-SWEEP_16K_SHA256 = "de3da393a7b71e5ba8b0e43b9dec62769b4e24dd2f2a127fb29e2086338df5c2"
+SWEEP_16K_SHA256 = "e639bcfa3e223b3ea6afd6ef2857dc9e8af6e32a02bd26f2632fd8d35c43827c"
 
 
 # sha256 of the stdout of deep expand calls, keyed by argv: 257

@@ -42,7 +42,7 @@ from nestrad import core
 from nestrad.core import _climb, _gray_tree, _tower, _towers
 
 from bitwise import assert_bitwise_equal
-from same_depth import literal_tower
+from same_depth import deviation_tower, mp_tower
 
 EPS = sys.float_info.epsilon
 
@@ -277,15 +277,14 @@ def test_acos_of_one_is_exactly_zero(depth):
 
 def test_acos_of_real_input_is_a_nonnegative_float_near_acos():
     # The docstring's claim at every depth to 30: truncation
-    # acos(y)**3 / (24 * 4**depth) plus roundoff of about 2**depth *
-    # sqrt(eps), here allowed 2**depth * sqrt(2 * eps).  The roundoff
-    # term takes the deep results out of [0, pi], so no value is pinned.
+    # acos(y)**3 / (24 * 4**depth) plus a few eps of roundoff, here allowed
+    # 4 eps of the value.
     rng = random.Random(5)
     ys = [i / 64 - 1 for i in range(129)] + [rng.uniform(-1.0, 1.0)
                                              for _ in range(200)]
     ys += [math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 5e-324]
     for depth in range(1, 31):
-        bound = 2.0 ** depth * math.sqrt(2.0 * EPS)
+        bound = 4 * EPS * math.pi
         for y in ys:
             v, theta = nested_acos(y, depth), math.acos(y)
             assert type(v) is float and 0.0 <= v < math.inf, (y, depth)
@@ -306,33 +305,38 @@ def test_acos_above_one_rotates_acosh(y):
 
 @pytest.mark.parametrize("depth", [17, 18, 19, 20])
 def test_acos_above_one_deep_plateau(depth):
-    # Across this depth range the iterate quantizes to the same floating
-    # neighbor of 1.0, so the scaled closing value does not move.
-    assert nested_acos(2.0, depth) == 1.3169567191065923j
+    # The literal tower's iterate quantized to one floating neighbor of 1.0
+    # across these depths, so its value stood still at 1.3169567191065923j.
+    # The deviation tower keeps moving with the truncation, and stays
+    # within 2 eps of the exact same-depth value.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        exact = complex(mp_tower(2.0, 0, depth, False))
+    v = nested_acos(2.0, depth)
+    assert abs(v - exact) <= 2 * EPS * abs(exact)
+    assert v != nested_acos(2.0, depth - 1) != 1.3169567191065923j
 
 
 def test_deep_tower_precision_collapse():
-    # At depth 25 the iterate sits within one ulp of 1.0 and the 2**25
-    # prefactor turns that quantization into an error of order 1e-2.
-    v = nested_acos(0.0, 25)
-    assert v == pytest.approx(1.5811388300841898, rel=1e-12)
-    assert abs(v - math.pi / 2) > 5e-3
-    # Not only small angles collapse (nested_acos's docstring): depth n
-    # returns exactly 0.0 for acos(y) < 2**n * sqrt(eps/3) and for
-    # acosh(y) of real y > 1 below twice that.  Rows on each side.
+    # The literal tower's iterate sat within one ulp of 1.0 at depth 25,
+    # and the 2**25 prefactor made that 1.5811388300841898, 1e-2 off; it
+    # returned exactly 0.0 once acos(y) < 2**n * sqrt(eps/3), and for
+    # acosh(y) of real y > 1 below twice that.  The deviation tower
+    # carries 1 - y itself: each of those rows is within 4 eps of its
+    # exact same-depth value.
+    mpmath = pytest.importorskip("mpmath")
+    assert abs(nested_acos(0.0, 25) - math.pi / 2) <= 2 * EPS
     r = math.sqrt(EPS / 3)
-    zero = [nested_acos(0.0, 28), nested_acos(-1.0, 29),
-            nested_acosh(2.0, 27), nested_acosh(2.0, 30),
-            nested_acosh(1000.0, 29), nested_acosh(1000.0, 30),
-            nested_acos(987886.3382985231, 30),
-            nested_acos(math.cos(0.99 * 2 ** 20 * r), 20),
-            nested_acosh(math.cosh(0.99 * 2 ** 21 * r), 20)]
-    kept = [nested_acos(0.0, 27), nested_acos(-1.0, 28),
-            nested_acosh(2.0, 26), nested_acosh(1000.0, 28),
-            nested_acos(987886.3382985231, 29),
-            nested_acos(math.cos(1.01 * 2 ** 20 * r), 20),
-            nested_acosh(math.cosh(1.01 * 2 ** 21 * r), 20)]
-    assert zero == [0.0] * len(zero) and 0.0 not in kept
+    rows = [(0.0, 28, False), (-1.0, 29, False), (2.0, 27, True),
+            (2.0, 30, True), (1000.0, 29, True), (1000.0, 30, True),
+            (987886.3382985231, 30, False),
+            (math.cos(0.99 * 2 ** 20 * r), 20, False),
+            (math.cosh(0.99 * 2 ** 21 * r), 20, True)]
+    for y, depth, hyperbolic in rows:
+        got = (nested_acosh if hyperbolic else nested_acos)(y, depth)
+        with mpmath.workdps(60):
+            want = complex(mp_tower(y, 0, depth, hyperbolic))
+        assert got != 0.0 and abs(got - want) <= 4 * EPS * abs(want), (y, depth)
     # The forward chain carries e = 1 - c, which is x**2/2 for tiny x at
     # every depth, so nested_cos is exactly 1.0 only where that rounds
     # below eps/4, |x| < sqrt(eps/2); deeper also where the seed's
@@ -357,11 +361,29 @@ def test_forward_chain_keeps_its_digits_past_the_cap():
         assert abs(nested_sin(1.0, cfg) - math.sin(1.0)) <= 2 * EPS
 
 
+@pytest.mark.parametrize("y", [1e308, 1.7976931348623157e308, -1.7e308,
+                               complex(1e308, -1e308), complex(-3.0, 1.7e308)])
+def test_tower_near_the_float_maximum(y):
+    # 2*(1 -+ y) overflows there, so the tower takes radical 0 literally;
+    # every branch stays within a few eps of its same-depth value, and the
+    # sequence records that radical first.
+    mpmath = pytest.importorskip("mpmath")
+    for k in (0, 1, 5, -3):
+        for hyperbolic, fn in ((False, nested_acos_branch), (True, nested_acosh_branch)):
+            with mpmath.workdps(60):
+                exact = complex(mp_tower(y, k, 10, hyperbolic))
+            assert abs(fn(y, k, 10) - exact) <= 4 * EPS * abs(exact), (k, hyperbolic)
+    ys = nested_acos_sequence(y, 10)
+    assert len(ys) == 11 and ys[0] == principal_sqrt((y + 1.0) / 2.0)
+    assert ys[-1] == nested_acos(y, 10)
+
+
 def test_acos_of_zero_roundoff_overtakes_truncation():
-    # The README's regimes for nested_acos(0): the error is the
-    # cubic truncation term at depth 11, roundoff exceeds it from depth 14
-    # on, and the error is 1e-2 at depth 24.  The roundoff also takes the
-    # value out of [0, pi], as nested_acos's docstring says.
+    # The README's regimes for nested_acos(0): the error is the cubic
+    # truncation term, to within 2 eps of roundoff, from depth 11 on, so
+    # roundoff overtakes it only once the term falls below an ulp, from
+    # depth 24.  The literal tower's roundoff overtook it from depth 14
+    # and was 1e-2 at depth 24.  The value stays in [0, pi], to an ulp.
     def err(d):
         return abs(nested_acos(0.0, d) - math.pi / 2)
 
@@ -369,20 +391,22 @@ def test_acos_of_zero_roundoff_overtakes_truncation():
         return (math.pi / 2) ** 3 / (24 * 4 ** d)
 
     assert err(11) == pytest.approx(cubic(11), rel=1e-2)
-    assert err(14) >= 5 * cubic(14)
-    assert all(err(d) > cubic(d) for d in range(14, 25))
-    assert 5e-3 < err(24) < 2e-2
-    assert nested_acos(-1.0, 14) > math.pi
+    assert all(abs(err(d) - cubic(d)) <= 2 * EPS for d in range(11, 31))
+    assert err(24) <= EPS < cubic(23)
+    assert all(0.0 <= nested_acos(-1.0, d) <= math.pi + 2 * EPS for d in range(1, 31))
 
 
 def test_depth_cap_enforced_on_inverse():
-    # Depth 31 runs at total precision loss for small angles: the iterate
-    # saturates at 1.0 and the closing radical returns zero, below the
-    # same thresholds as at depth 30 and under (acosh 35.2 and 39.8
-    # against 2**32 * sqrt(eps/3), about 37).
-    assert nested_acos(0.0, 31) == 0.0
-    assert nested_acosh(1e15, 31) == 0.0
-    assert nested_acosh(1e17, 31) != 0.0
+    # Depth 31 and deeper keep their digits: the literal tower returned
+    # zero there below the thresholds of depth 30 (acosh 35.2 and 39.8
+    # against 2**32 * sqrt(eps/3), about 37).  From about depth 515 the
+    # deviation itself underflows, as nested_acos's docstring says.
+    assert nested_acos(0.0, 540) == 0.0
+    for depth in (31, 100, 500):
+        assert abs(nested_acos(0.0, depth) - math.pi / 2) <= 2 * EPS
+        for y in (1e15, 1e17):
+            assert abs(nested_acosh(y, depth) - math.acosh(y)) <= \
+                2 * EPS * math.acosh(y)
 
 
 def test_large_angles_gain_digits_past_the_cap():
@@ -463,18 +487,22 @@ def test_forward_sequences_are_the_recorded_chain(x, cfg):
                                Fraction(1, 3), complex(0.5, -0.0), math.inf,
                                -math.inf, math.nan, 1e300])
 def test_inverse_sequences_are_the_recorded_tower(y, depth):
-    # Entry 0 is the first half-angle image of y, each later radical is the
-    # public half-angle step of the one before, and the closing entry is the
-    # scaled closing map of the last radical and the scalar entry, by repr.
-    for seq, outer, scalar in ((nested_acos_sequence, acos_outer, nested_acos),
-                               (nested_acosh_sequence, acosh_outer,
-                                nested_acosh)):
+    # Entry m is the iterate after radical m as the deviation loop written
+    # out in same_depth records it, 1 - d or d - 1, the last entry is the
+    # loop's closing value and the scalar entry, all by repr.  Each iterate
+    # is the half-angle step of the one before to a few ulps; on [-1, 1]
+    # the literal step loses the digits the deviation keeps.
+    for seq, hyperbolic, scalar in ((nested_acos_sequence, False, nested_acos),
+                                    (nested_acosh_sequence, True, nested_acosh)):
         ys = seq(y, depth)
+        want: list = []
+        want.append(deviation_tower(y, depth, 0, hyperbolic, want))
         assert len(ys) == depth + 1
-        for prev, r in zip([y] + ys[:-2], ys[:-1]):
-            assert repr(r) == repr(half_angle_step(prev))
-        assert repr(ys[-1]) == repr((2.0 ** depth) * outer(ys[-2]))
+        assert [repr(v) for v in ys] == [repr(v) for v in want]
         assert repr(ys[-1]) == repr(scalar(y, depth))
+        if isinstance(y, float) and -1.0 <= y <= 1.0:
+            for prev, r in zip([y] + ys[:-2], ys[:-1]):
+                assert abs(r - half_angle_step(prev)) <= 2 * EPS
 
 
 def test_inverse_forward_round_trip():
@@ -510,7 +538,7 @@ def test_towers_match_single_tower_bitwise(y, depth):
     k_sets = [range(min(n, branches)) for n in (1, 2, 3, 4096, 4097)]
     k_sets.append(rng.sample(range(branches), min(300, branches)))
     for ks in k_sets:
-        want = [_tower(y, depth, k ^ (k >> 1), acos_outer) for k in ks]
+        want = [_tower(y, depth, k ^ (k >> 1), False) for k in ks]
         assert_bitwise_equal(_batched(y, depth, ks), want)
 
 
@@ -521,7 +549,7 @@ def test_signed_zeros_share_a_gray_tree():
         _gray_tree.cache_clear()
         for y in zeros:
             for depth, ks in [(1, range(1)), (2, range(2)), (25, range(5))]:
-                want = [_tower(y, depth, k ^ (k >> 1), acos_outer) for k in ks]
+                want = [_tower(y, depth, k ^ (k >> 1), False) for k in ks]
                 assert_bitwise_equal(_batched(y, depth, ks), want)
 
 
@@ -531,7 +559,7 @@ def test_towers_uniform_levels_match_single_tower(c, depth):
     # An aligned chunk of 4096 branch indices is the sweep's case: above
     # the 12 tree levels every Gray bit is uniform across the lanes.
     ks = range(4096 * c, 4096 * (c + 1))
-    want = [_tower(0.0, depth, k ^ (k >> 1), acos_outer) for k in ks]
+    want = [_tower(0.0, depth, k ^ (k >> 1), False) for k in ks]
     assert_bitwise_equal(_batched(0.0, depth, ks), want)
 
 
@@ -542,7 +570,7 @@ def test_towers_mixed_uniform_and_varying_levels():
     # per-lane levels, which take the set bits too.
     grays = [0b1010_1001_0000, 0b0010_0001_0011, 0b1010_0001_0000]
     for y in (0.0, 0.3, -1.0):
-        want = [_tower(y, 14, g, acos_outer) for g in grays]
+        want = [_tower(y, 14, g, False) for g in grays]
         assert_bitwise_equal(_climb(_gray_tree(y, 2), grays, 14), want)
 
 
@@ -554,7 +582,7 @@ def test_towers_fused_runs_of_set_bits(y):
     # per-lane pass level by level, between single clear levels.
     high = sum(1 << b for b in (12, 13, 14, 15, 17, 18, 19, 21, 22, 24))
     grays = [(k ^ (k >> 1)) | high for k in range(512)]
-    want = [_tower(y, 25, g, acos_outer) for g in grays]
+    want = [_tower(y, 25, g, False) for g in grays]
     assert_bitwise_equal(_climb(_gray_tree(y, 9), grays, 25), want)
 
 
@@ -580,13 +608,13 @@ _TOWER_INPUTS = [
 
 
 def _tower_outcomes(depth):
-    gray_max = 2 ** depth - 1
+    gray_max = 2 ** (depth - 1) - 1
     k_min = -(2 ** (depth - 1))
     out = []
     for y in _TOWER_INPUTS:
-        for gray in (0, 1, 2, 5, gray_max):
-            for outer in (acos_outer, acosh_outer):
-                out.append(_outcome(_tower, y, depth, gray, outer))
+        for gray in sorted({g for g in (0, 1, 2, 5, gray_max) if g <= gray_max}):
+            for hyperbolic in (False, True):
+                out.append(_outcome(_tower, y, depth, gray, hyperbolic))
         # k = -1, -2, -4, -7 and k_min take Gray codes 0, 1, 2, 5 and the
         # largest the depth allows.
         for k in (-1, -2, -4, -7, k_min):
@@ -601,15 +629,16 @@ def _tower_outcomes(depth):
 @pytest.mark.parametrize("depth", [1, 2, 10, 25, 30])
 def test_tower_matches_literal_loop(depth, monkeypatch):
     # A float in [-1, 1], or finite above 1 on the principal sheet, runs
-    # on math.sqrt; every value and every error must stay what the literal
-    # principal_sqrt loop gives, by repr or by exception type and message.
+    # on math.sqrt; every value and every error must stay what the same
+    # deviation loop written out on principal_sqrt gives, by repr or by
+    # exception type and message.
     got = _tower_outcomes(depth)
     # float() would take "0.5" and Decimal("0.5"); the tower must not.  A
     # branch index too large for a small depth is reported first.
     per_input = len(got) // len(_TOWER_INPUTS)
     assert all(o.startswith(("TypeError: ", "ValueError: branch index"))
                for o in got[-3 * per_input:])
-    monkeypatch.setattr(core, "_tower", literal_tower)
+    monkeypatch.setattr(core, "_tower", deviation_tower)
     assert got == _tower_outcomes(depth)
 
 
@@ -630,7 +659,7 @@ def test_real_tower_runs_on_math_sqrt(y, gray, calls, monkeypatch):
         return principal_sqrt(z)
 
     monkeypatch.setattr(core, "principal_sqrt", counted)
-    runs = [lambda: _tower(y, 25, gray, acos_outer)]
+    runs = [lambda: _tower(y, 25, gray, False)]
     if not gray:
         runs += [lambda: nested_acos_sequence(y, 25),
                  lambda: nested_acosh_sequence(y, 25)]

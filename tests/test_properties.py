@@ -23,7 +23,9 @@ from nestrad import (
     EvalConfig,
     converge,
     eval_report,
+    nested_acos,
     nested_acos_branch,
+    nested_acosh,
     nested_acosh_branch,
     nested_asin,
     nested_asinh,
@@ -31,6 +33,7 @@ from nestrad import (
     nested_atanh,
     nested_cos,
     nested_cosh,
+    nested_exp,
     nested_sin,
     nested_sinh,
     nested_tan,
@@ -108,15 +111,64 @@ def test_acosh_oracle_branch_zero_is_principal(z):
 
 @REPRODUCIBLE
 @given(towers())
-@example((987886.3382985231, 0, 30))  # the largest roundoff a search found
+@example((987886.3382985231, 0, 30))  # the literal tower's worst a search found
 def test_tower_roundoff_within_the_docstring_term(case):
     # The tower minus its exact same-depth value is roundoff, at most
-    # ROUNDOFF_C * 2**n * sqrt(eps); same_depth derives the constant.
+    # (ROUNDOFF_STEP * n + ROUNDOFF_C) * eps relative to max(|S_n|, 1);
+    # same_depth derives the constants.
     y, k, depth = case
     for tower, same_depth in ((nested_acos_branch, acos_same_depth),
                               (nested_acosh_branch, acosh_same_depth)):
         s = same_depth(y, k, depth)
         assert abs(tower(y, k, depth) - s) <= roundoff_bound(s, depth), case
+
+
+# The same-depth round trips at seed order 2 (the paper's inverse
+# relationship): the tower undoes the chain exactly in real arithmetic
+# wherever every radicand of the tower is the square of a nonnegative
+# iterate, which holds for acos on x in [0, 2.5] at every depth (the
+# depth-1 seed 1 - x**2/8 stays positive) and for acosh on the real line.
+# What is left is roundoff: the inverse tower's own, a few eps of |x|;
+# the forward chain's, which grows as about 1.5 eps * |x| (ROADMAP item
+# 28); and the rounding of f_n(x) to a float, half an ulp of f, which g
+# scales by |g'(f)|.  So the error is within c * eps * (|x| + |f * g'(f)|),
+# with c = 8 covering 1.5 + 0.5 and the tower's roundoff of at most about
+# 5 eps (ROUNDOFF_C) with room; 60,000 random draws read at most 4.4
+# (acos) and 5.0 (acosh).
+ROUND_TRIP_C = 8.0
+
+
+@REPRODUCIBLE
+@given(st.floats(0.0, 2.5), st.integers(1, 30))
+def test_acos_undoes_cos_at_the_same_depth(x, depth):
+    f = nested_cos(x, EvalConfig(depth, 2))
+    cond = abs(f) / math.sqrt(1.0 - f * f) if abs(f) < 1.0 else math.inf
+    assert abs(nested_acos(f, depth) - x) <= ROUND_TRIP_C * EPS * (x + cond)
+
+
+@REPRODUCIBLE
+@given(st.floats(-700.0, 700.0), st.integers(1, 30))
+def test_acosh_undoes_cosh_at_the_same_depth(x, depth):
+    f = nested_cosh(x, EvalConfig(depth, 2))
+    cond = f / math.sqrt((f - 1.0) * (f + 1.0)) if f > 1.0 else math.inf
+    assert abs(nested_acosh(f, depth) - abs(x)) <= \
+        ROUND_TRIP_C * EPS * (abs(x) + cond)
+
+
+@REPRODUCIBLE
+@given(st.one_of(st.floats(0.0, 800.0, exclude_min=True),
+                 st.builds(complex, st.floats(0.0, 800.0, exclude_min=True),
+                           st.floats(-1e3, 1e3))),
+       st.integers(1, 30), st.integers(1, 4))
+def test_exp_of_minus_x_is_the_reciprocal_bitwise(x, depth, order):
+    # cosh is even and sinh odd, bitwise, so cosh - sinh at -x is
+    # cosh + sinh at x: nested_exp(-x) is 1/nested_exp(x) to the bit, or
+    # both raise the same error (ZeroDivisionError where the sum is 0).
+    cfg = EvalConfig(depth, order)
+    b = _outcome(nested_exp, x, cfg)
+    want = b if isinstance(b, type) else _outcome(lambda v: 1.0 / v, b)
+    got = _outcome(nested_exp, -x, cfg)
+    assert got is want if isinstance(want, type) else repr(got) == repr(want), x
 
 
 @REPRODUCIBLE

@@ -344,7 +344,7 @@ def test_converge_zero_error_rows():
 
 def test_converge_inverse_function():
     rows = converge("acos", 0.0, [10])
-    assert rows[0].abs_error == pytest.approx(1.539893581536944e-07, rel=1e-12)
+    assert rows[0].abs_error == pytest.approx(1.5400983777169586e-07, rel=1e-12)
 
 
 def test_converge_validation():
@@ -360,10 +360,10 @@ def test_sweep_known_rows():
     rows = list(sweep_branches(3))
     assert [k for k, _, _ in rows] == [0, 1, 2, 3]
     expected = [
-        (-4.9016335046392356e-08, 4.9016335046392356e-08),
-        (0.9999986763811592, 1.3236188407539373e-06),
-        (1.999993872146315, 6.127853684922968e-06),
-        (2.9999831851845866, 1.681481541337959e-05),
+        (-4.902285394292605e-08, 4.902285394292605e-08),
+        (0.9999986763832556, 1.3236167444308222e-06),
+        (1.9999938721475856, 6.127852414383739e-06),
+        (2.999983185184844, 1.681481515580785e-05),
     ]
     for (_, ex, dev), (pe, pd) in zip(rows, expected):
         assert ex == pytest.approx(pe, abs=1e-15)
@@ -373,8 +373,8 @@ def test_sweep_known_rows():
 def test_sweep_deep_endpoint():
     k, extracted, dev = list(sweep_branches(100, 100, 25))[-1]
     assert k == 100
-    assert extracted == pytest.approx(100.00001418894557, rel=1e-12)
-    assert dev == pytest.approx(1.4188945570481337e-05, rel=1e-9)
+    assert extracted == pytest.approx(99.99999999962927, rel=1e-12)
+    assert dev == pytest.approx(3.7073277781018987e-10, rel=1e-9)
 
 
 def test_sweep_is_deterministic():
@@ -449,9 +449,9 @@ def test_sweep_from_k_min_is_the_tail_of_the_full_sweep(k_max, step, depth):
         assert_bitwise_equal(tail, full[k_min // step:])
 
 TABLE1_VALUES = [
-    1.570796172805538, 4.712384822113464, 7.853962382754363,
-    10.995521462263701, 14.137054668250807, 17.278554608371589,
-    20.420013890390901, 23.561425122147117,
+    1.5707961727850588, 4.7123848221200495, 7.853962382758355,
+    10.995521462264511, 14.13705466824654, 17.278554608373348,
+    20.420013890392124, 23.56142512214572,
 ]
 TABLE1_PATTERNS = ["++++", "+++-", "++--", "++-+", "+--+", "+---",
                    "+-+-", "+-++"]
@@ -470,15 +470,16 @@ def test_table1_reproduction():
 
 
 TABLE2_PLUS = [
-    0.0, 1.99999686254052, 1.99999686254052, 3.99997490034631,
-    3.99997490034631, 5.99991528886506, 5.99991528886506,
-    7.99979920389600, 7.99979920389600, 9.99960782177148, 9.99960782177148,
+    0.0, 1.999996862538733, 1.999996862538733,
+    3.999974900345302, 3.999974900345302, 5.999915288864727,
+    5.999915288864727, 7.999799203896401, 7.999799203896401,
+    9.999607821771264, 9.999607821771264,
 ]
 TABLE2_MINUS = [
-    0.999999607815114, 0.999999607815114, 2.99998941107727,
-    2.99998941107727, 4.99995097728807, 4.99995097728807,
-    6.99986548205935, 6.99986548205935, 8.99971410143166,
-    8.99971410143166, 10.9994780120676,
+    0.9999996078172032, 0.9999996078172032, 2.9999894110744534,
+    2.9999894110744534, 4.999950977288829, 4.999950977288829,
+    6.999865482060384, 6.999865482060384, 8.99971410143214,
+    8.99971410143214, 10.999478012067256,
 ]
 
 
