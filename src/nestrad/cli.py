@@ -2,28 +2,26 @@
 
 Output is deterministic: 15 significant digits (repr for the largest
 floats), complex values as a+bi / a-bi with no spaces, zeros normalized
-to "0".  Exit codes: 0 success, 1 output cut short (stdout closed, as by
-| head, or a failed sweep worker), 2 argument or validation error, 3
-numeric error (overflow, pole, or no finite eval error).  A sweep of
-over 4096 rows runs in forked workers on every usable CPU, byte for byte.
+to "0".  Exit codes: 0 success, 1 stdout closed early (as by | head), 2
+argument or validation error, 3 numeric error (overflow, pole, or no
+finite eval error).
 
 A call in canonical form (the command first, each option spelled out
 once with its value next) is read against plans built at import from one
 table of every command's arguments, with no parser built and argparse not
 loaded.  Help, errors and every other form go to the full argparse tree,
 built afresh from that table, so every message reads as it did.  Each
-command but sweep prints once.  Importing the CLI loads core and verify,
-not expand: expand loads it, and its exact context, on its first call.
+command but sweep prints once; a sweep prints each chunk of 4096 rows as
+it computes it.  Importing the CLI loads core and verify, not expand:
+expand loads it, and its exact context, on its first call.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import os
 import re
 import sys
-import threading
 from functools import cache
 from itertools import chain
 from types import SimpleNamespace
@@ -139,54 +137,8 @@ def _cmd_converge(args: SimpleNamespace) -> None:
 def _cmd_sweep(args: SimpleNamespace) -> None:
     sweep_branches(args.kmax, args.step, args.depth)  # checks the arguments
     print("k,extracted,abs_dev")
-    # On W CPUs chunk j of _CHUNK_ROWS rows is worker j % W's, and the parent,
-    # worker 0, prints the chunks in order.  A child sends each of its own
-    # down a pipe as its length in 8 bytes and its text; the pipe's
-    # back-pressure keeps one chunk of text per process.
-    starts = range(0, args.kmax + 1, _CHUNK_ROWS * args.step)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    # A fork beside other threads could copy a lock one of them holds.
-    workers = (min(cpus, len(starts)) if hasattr(os, "fork")
-               and threading.active_count() == 1 else 1)
-    readers, pids, status = [], [], 0
-    try:
-        for w in range(1, workers):
-            r, fd = os.pipe()
-            if not (pid := os.fork()):  # a child: it never touches sys.stdout
-                try:
-                    os.close(r)
-                    with open(fd, "wb") as pipe:
-                        for k in starts[w::workers]:
-                            text = _chunk(args, k)
-                            pipe.write(len(text).to_bytes(8, "big") + text.encode())
-                    os._exit(0)
-                finally:  # reached only if the child failed
-                    os._exit(1)
-            pids.append(pid)
-            os.close(fd)
-            readers.append(open(r, "rb"))
-        for j, k in enumerate(starts):
-            if j % workers:
-                f = readers[j % workers - 1]
-                size = int.from_bytes(f.read(8), "big")
-                text = f.read(size).decode()
-                if not text or len(text) < size:
-                    raise ChildProcessError("a sweep worker stopped before its rows")
-            else:
-                text = _chunk(args, k)
-            print(text, end="")
-    finally:
-        for f in readers:
-            f.close()
-        for pid in pids:
-            # ECHILD: the host ignores SIGCHLD, so the child reaped itself
-            # and its status is lost; every frame was checked above.
-            with contextlib.suppress(ChildProcessError):
-                status = max(status, os.waitpid(pid, 0)[1])
-    if status:
-        raise ChildProcessError("a sweep worker exited with status "
-                                f"{os.waitstatus_to_exitcode(status)}")
+    for k in range(0, args.kmax + 1, _CHUNK_ROWS * args.step):
+        print(_chunk(args, k), end="")
 
 
 def _chunk(args: SimpleNamespace, k: int) -> str:
@@ -376,8 +328,5 @@ def main(argv: list[str] | None = None) -> int:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
-        return 1
-    except ChildProcessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,10 +6,8 @@ import io
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -266,24 +264,6 @@ def test_sweep_text_is_fmt_real_of_the_rows(kmax, step, depth):
                          + [f"{k},{fmt_real(e)},{fmt_real(d)}\n" for k, e, d in rows])
 
 
-def _cpus(monkeypatch, n):
-    # The CPUs the sweep may run on, as os.sched_getaffinity reports them.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
-def _count_forks(monkeypatch):
-    # Wrap os.fork to count the workers the sweep starts.
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    return forks
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 SPLIT_SWEEPS = [
     # Four full chunks at depth 25.
     ("16383", "1", "25"),
@@ -298,24 +278,43 @@ SPLIT_SWEEPS = [
 @pytest.mark.parametrize("cpus", [2, 3, 5])
 @pytest.mark.parametrize("kmax, step, depth", SPLIT_SWEEPS)
 def test_sweep_on_several_cpus_is_byte_identical(monkeypatch, cpus, kmax, step, depth):
-    # Chunk j of 4096 rows is worker j % W's, W the smaller of the CPUs and
-    # the chunks; on one CPU the parent computes every chunk itself.
-    argv = ["sweep", "--kmax", kmax, "--step", step, "--depth", depth]
-    _cpus(monkeypatch, 1)
-    forks = _count_forks(monkeypatch)
-    serial = run_cli(argv)
-    assert (serial[0], serial[2], forks) == (0, "", [])
-    _cpus(monkeypatch, cpus)
-    assert run_cli(argv) == serial
-    chunks = -(-len(range(0, int(kmax) + 1, int(step))) // 4096)
-    assert len(forks) == min(cpus, chunks) - 1
-    _no_child_left()
+    # The CLI prints the sweep as chunks of 4096 rows, each its own
+    # sweep_branches call from its first k; however many CPUs are usable,
+    # it forks nothing and together they print the rows of one call.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    forks = []
+
+    def fork():
+        forks.append(None)
+        raise OSError("fork is not expected")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    code, out, err = run_cli(["sweep", "--kmax", kmax, "--step", step,
+                              "--depth", depth])
+    assert forks == []
+    assert (code, err) == (0, "")
+    rows = sweep_branches(int(kmax), int(step), int(depth))
+    assert_bitwise_equal(out.splitlines(keepends=True), ["k,extracted,abs_dev\n"]
+                         + [f"{k},{fmt_real(e)},{fmt_real(d)}\n" for k, e, d in rows])
 
 
-def test_sweep_chunks_share_one_gray_tree(monkeypatch):
-    # Each chunk is its own sweep_branches call; on one CPU the four chunks
-    # of this sweep build one Gray tree between them, as one call would.
-    _cpus(monkeypatch, 1)
+def test_sweep_never_forks(monkeypatch):
+    # The sweep runs in the calling process: a host without fork, or one
+    # where fork fails, prints the same bytes.
+    def fork():
+        raise OSError("fork is not available")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    code, out, err = run_cli(["sweep", "--kmax", "16383", "--depth", "25"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_16K_SHA256
+
+
+def test_sweep_chunks_share_one_gray_tree():
+    # Each chunk is its own sweep_branches call; the four chunks of this
+    # sweep build one Gray tree between them, as one call would.
     _gray_tree.cache_clear()
     assert run_cli(["sweep", "--kmax", "16383", "--depth", "25"])[0] == 0
     assert _gray_tree.cache_info().misses == 1
@@ -327,129 +326,11 @@ def test_a_sweep_chunk_is_one_batch():
     assert cli._CHUNK_ROWS == _BATCH
 
 
-def test_sweep_beside_an_ignored_sigchld(monkeypatch):
-    # A host that ignores SIGCHLD has its children reaped for it, and
-    # os.waitpid raises ECHILD: the frames are checked, so the sweep passes.
-    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
-    want = run_cli(argv)
-    _cpus(monkeypatch, 3)
-    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert run_cli(argv) == want
-    finally:
-        signal.signal(signal.SIGCHLD, handler)
-    _no_child_left()
-
-
-def test_sweep_falls_back_to_cpu_count(monkeypatch):
-    # Without sched_getaffinity the CPU count decides: three CPUs split the
-    # pinned sweep three ways, an unknown count keeps it serial.
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    forks = _count_forks(monkeypatch)
-    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
-    for cpus, forked in [(3, 2), (None, 0)]:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        code, out, err = run_cli(argv)
-        assert (code, err, len(forks)) == (0, "", forked)
-        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_16K_SHA256
-        forks.clear()
-    _no_child_left()
-
-
-def test_sweep_stays_in_process_without_fork_or_beside_threads(monkeypatch):
-    argv = ["sweep", "--kmax", "9000", "--depth", "15"]
-    want = run_cli(argv)
-    _cpus(monkeypatch, 2)
-    forks = _count_forks(monkeypatch)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert run_cli(argv) == want
-    finally:
-        release.set()
-        thread.join()
-    assert forks == []
-    monkeypatch.delattr(os, "fork")
-    assert run_cli(argv) == want
-
-
-def test_sweep_child_failure_fails_the_command(monkeypatch):
-    # A child that raises before its first frame: the parent reads a short
-    # frame, prints no more rows and exits 1 with a message.
-    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
-    _cpus(monkeypatch, 2)
-    parent, sweep = os.getpid(), cli.sweep_branches
-
-    def failing(*args, **kwargs):
-        if os.getpid() != parent:
-            raise MemoryError
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "sweep_branches", failing)
-    code, out, err = run_cli(argv)
-    assert (code, err) == (1, "error: a sweep worker stopped before its rows\n")
-    assert len(out.splitlines()) == 1 + 4096
-    _no_child_left()
-
-
-def test_sweep_child_exit_status_fails_the_command(monkeypatch):
-    # Every frame arrives, but a child exits 7: the rows print and the
-    # command still fails, so no caller takes the output for a clean run.
-    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
-    want = run_cli(argv)[1]
-    _cpus(monkeypatch, 3)
-    real_exit = os._exit
-    monkeypatch.setattr(os, "_exit", lambda code: real_exit(7))
-    code, out, err = run_cli(argv)
-    assert (code, out) == (1, want)
-    assert err == "error: a sweep worker exited with status 7\n"
-    _no_child_left()
-
-
-class _Exit(BaseException):
-    pass
-
-
-def test_sweep_child_branch_in_process(monkeypatch, tmp_path):
-    # Run the child's side of the fork in this process: fork returns 0, the
-    # pipe's write end is a file and os._exit raises.  The child sends
-    # chunks 1 and 3 as frames, each its length in 8 bytes and its text,
-    # then exits 0; a real os._exit never returns, so the exit 1 of its
-    # failure path runs only here.
-    argv = ["sweep", "--kmax", "16383", "--depth", "25"]
-    chunks = run_cli(argv)[1].splitlines(keepends=True)[1:]
-    want = ["".join(chunks[j * 4096:(j + 1) * 4096]) for j in (1, 3)]
-    _cpus(monkeypatch, 2)
-    frames = tmp_path / "frames"
-    exits = []
-
-    def exit_(code):
-        exits.append(code)
-        raise _Exit
-
-    monkeypatch.setattr(os, "fork", lambda: 0)
-    monkeypatch.setattr(os, "_exit", exit_)
-    monkeypatch.setattr(os, "pipe", lambda: (
-        os.open(os.devnull, os.O_RDONLY),
-        os.open(frames, os.O_WRONLY | os.O_CREAT)))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), pytest.raises(_Exit):
-        main(argv)
-    assert (exits, out.getvalue()) == ([0, 1], "k,extracted,abs_dev\n")
-    data, got = frames.read_bytes(), []
-    while data:
-        size = int.from_bytes(data[:8], "big")
-        got.append(data[8:8 + size].decode())
-        data = data[8 + size:]
-    assert got == want
-
-
 def _src_env():
     return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nestrad.__file__)))
 
 
-# A sweep that forks on two CPUs and a call whose output fits one buffer.
+# A sweep of four chunks and a call whose output fits one buffer.
 CLOSED_STDOUT_CALLS = [["sweep", "--kmax", "16383", "--depth", "25"],
                        ["eval", "cos", "0.5"]]
 
@@ -479,19 +360,17 @@ def test_closed_stdout_exits_1_quietly(argv):
 
 
 @pytest.mark.parametrize("argv", CLOSED_STDOUT_CALLS)
-def test_closed_stdout_in_process(monkeypatch, argv):
-    # main() returns 1 with nothing on stderr and every child reaped, and
-    # stdout's descriptor now writes to devnull: closing it raises nothing.
-    # The devnull descriptor main() opens is closed again: the lowest free
-    # descriptor is the same before and after.
-    _cpus(monkeypatch, 2)
+def test_closed_stdout_in_process(argv):
+    # main() returns 1 with nothing on stderr, and stdout's descriptor now
+    # writes to devnull: closing it raises nothing.  The devnull descriptor
+    # main() opens is closed again: the lowest free descriptor is the same
+    # before and after.
     lowest = os.dup(0)
     os.close(lowest)
     stdout, err = open(_closed_pipe(), "w"), io.StringIO()
     with stdout, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         assert main(argv) == 1
     assert err.getvalue() == ""
-    _no_child_left()
     fd = os.dup(0)
     os.close(fd)
     assert fd == lowest
@@ -499,7 +378,7 @@ def test_closed_stdout_in_process(monkeypatch, argv):
 
 def test_sweep_into_head_1_exits_1_quietly():
     # As with "| head -1": the reader leaves after the header, while the
-    # parent and its workers still have rows to write.
+    # sweep still has rows to write.
     proc = subprocess.Popen(
         [sys.executable, "-m", "nestrad", "sweep", "--kmax", "16383",
          "--depth", "25"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
