@@ -23,7 +23,7 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from types import SimpleNamespace
 
 from .core import DEPTH_MAX, Scalar, gray_signs
@@ -135,25 +135,16 @@ def _cmd_converge(args: SimpleNamespace) -> None:
 
 
 def _cmd_sweep(args: SimpleNamespace) -> None:
-    sweep_branches(args.kmax, args.step, args.depth)  # checks the arguments
+    rows = sweep_branches(args.kmax, args.step, args.depth)  # checks the arguments
     print("k,extracted,abs_dev")
-    for k in range(0, args.kmax + 1, _CHUNK_ROWS * args.step):
-        print(_chunk(args, k), end="")
-
-
-def _chunk(args: SimpleNamespace, k: int) -> str:
-    # The chunk of rows from branch k on, formatted at once.  A row's bits
-    # depend only on its k, so no split of the sweep moves a byte.
-    # "%.15g" is fmt_real here: it differs only on -0.0 and next to the
-    # float maximum, which neither column can hold, since abs() never
-    # returns -0.0, x - 0.5 is never -0.0 under round-to-nearest, and both
-    # stay below 4.5e307: with the top Gray bit clear a closing value is at
-    # most 2**DEPTH_MAX * sqrt(2), so extracted < 4.1e307, and
-    # k < 2**(DEPTH_MAX - 1).
-    last = min(args.kmax, k + (_CHUNK_ROWS - 1) * args.step)
-    fields = tuple(chain.from_iterable(
-        sweep_branches(last, args.step, args.depth, k_min=k)))
-    return ("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields
+    # Each chunk of rows is formatted at once.  "%.15g" is fmt_real here:
+    # it differs only on -0.0 and next to the float maximum, which neither
+    # column can hold, since abs() never returns -0.0, x - 0.5 is never
+    # -0.0 under round-to-nearest, and both stay below 4.5e307: with the
+    # top Gray bit clear a closing value is at most 2**DEPTH_MAX * sqrt(2),
+    # so extracted < 4.1e307, and k < 2**(DEPTH_MAX - 1).
+    while fields := tuple(chain.from_iterable(islice(rows, _CHUNK_ROWS))):
+        print(("%d,%.15g,%.15g\n" * (len(fields) // 3)) % fields, end="")
 
 
 def _cmd_table1(args: SimpleNamespace) -> None:

@@ -301,11 +301,15 @@ def _tower(y: Scalar, depth: int, gray: int, hyperbolic: bool,
     # overflows, radical 0 is taken literally: it loses nothing there.
     neg = (y.real if isinstance(y, complex) else y) < 0.0
     p = 2.0 * (1.0 + y) if neg else 2.0 * (1.0 - y)
-    if cmath.isinf(p) and cmath.isfinite(y):
-        v = principal_sqrt((y + 1.0) / 2.0) * (-1.0 if gray & 1 else 1.0)
-        if ys is not None:
-            ys.append(v)
-        return 2.0 * _tower(v, depth - 1, gray >> 1, hyperbolic, ys)
+    if cmath.isinf(p):
+        if y == math.inf and not gray:  # +inf at every radical of branch 0
+            ys is None or ys.extend([math.inf] * depth)
+            return math.inf if hyperbolic else complex(0.0, math.inf)
+        if cmath.isfinite(y):
+            v = principal_sqrt((y + 1.0) / 2.0) * (-1.0 if gray & 1 else 1.0)
+            if ys is not None:
+                ys.append(v)
+            return 2.0 * _tower(v, depth - 1, gray >> 1, hyperbolic, ys)
     fast = isinstance(y, float) and (-1.0 <= y <= 1.0 or not gray and 1.0 < y < math.inf)
     sqrt = math.sqrt
     for m in range(depth):
@@ -346,11 +350,11 @@ def _towers(y: float, depth: int, ks: Sequence[int]
 
 @lru_cache(maxsize=8)
 def _gray_tree(y: float, height: int) -> tuple[float, ...]:
-    # _tower's p after height + 1 radicals of y under every sign pattern
-    # of Gray bits 0..height-1, at leaf g & (2**height - 1) for Gray code
-    # g.  Radical m steps by bit m - 1 (y's sign for m = 0), so a level is
-    # roots + roots: a set bit changes the state, not p.  Kept per process
-    # for a sweep's chunks; -0.0 and 0.0 both start at p = 2.
+    # _tower's p after height + 1 radicals of y under every sign pattern of
+    # Gray bits 0..height-1, at leaf g & (2**height - 1) for Gray code g.
+    # Radical m steps by bit m - 1 (y's sign for m = 0), so a level is
+    # roots + roots: a set bit changes the state, not p.  Kept for later
+    # sweeps and tables of the same y and height; -0.0 and 0.0 start at p = 2.
     sqrt = math.sqrt
     level = [2.0 * (1.0 + y) if y < 0.0 else 2.0 * (1.0 - y)]
     half = 0 if y < 0.0 else 1  # leaves from half on are in the - state

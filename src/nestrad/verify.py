@@ -325,13 +325,13 @@ def converge(name: str, z: Scalar, depths: list[int],
     return list(map(ConvergenceRow, depths, values, errors, ratios))
 
 
-def sweep_branches(k_max: int, step: int = 1, depth: int = 10, *,
-                   k_min: int = 0) -> Iterator[tuple[int, float, float]]:
+def sweep_branches(k_max: int, step: int = 1,
+                   depth: int = 10) -> Iterator[tuple[int, float, float]]:
     """Yield (k, extracted, abs_dev) for branches of the inverse cosine of 0.
 
     extracted is extract_branch of branch k; abs_dev its distance from k.
-    Rows come out in ascending k over range(k_min, k_max + 1, step), each
-    bitwise the same whatever k_min and k_max are.
+    Rows come out in ascending k over range(0, k_max + 1, step), each
+    bitwise what nested_acos_branch(0.0, k, depth) gives, whatever k_max is.
     Arguments are checked here, before the first row is produced.
     """
     check_depth(depth)
@@ -341,10 +341,8 @@ def sweep_branches(k_max: int, step: int = 1, depth: int = 10, *,
         raise ValueError(
             f"k_max must satisfy 0 < k_max < 2**(depth-1), got {k_max} "
             f"at depth {depth}")
-    if not _is_int(k_min) or not 0 <= k_min <= k_max:
-        raise ValueError(f"k_min must satisfy 0 <= k_min <= k_max, got {k_min}")
     return chain.from_iterable(
-        zip(*cols) for cols in _sweep_columns(range(k_min, k_max + 1, step), depth))
+        zip(*cols) for cols in _sweep_columns(range(0, k_max + 1, step), depth))
 
 
 def _sweep_columns(ks: range, depth: int

@@ -105,10 +105,16 @@ def deviation_tower(y, depth, gray, hyperbolic, ys=None):
     The iterate after radical m is +-(1 - d), - when bit m of gray is set,
     carried as p = 2d; a = 4r is four times the radicand r = (v + 1)/2 of
     iterate v.  ys, given a list, gets each iterate as core._tower records
-    it.  gray must stay below 2**(depth - 1).
+    it.  gray must stay below 2**(depth - 1).  Real +inf on branch 0 stays
+    +inf at every radical, as in core._tower, where the loop's + step would
+    make -inf/inf.
     """
     neg = (y.real if isinstance(y, complex) else y) < 0.0
     p = 2.0 * (1.0 + y) if neg else 2.0 * (1.0 - y)
+    if y == math.inf and not gray:
+        if ys is not None:
+            ys.extend([math.inf] * depth)
+        return math.inf if hyperbolic else complex(0.0, math.inf)
     for m in range(depth):
         a, b = (p, 4.0 - p) if neg else (4.0 - p, p)
         s = principal_sqrt(a)

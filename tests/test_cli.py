@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -278,9 +279,9 @@ SPLIT_SWEEPS = [
 @pytest.mark.parametrize("cpus", [2, 3, 5])
 @pytest.mark.parametrize("kmax, step, depth", SPLIT_SWEEPS)
 def test_sweep_on_several_cpus_is_byte_identical(monkeypatch, cpus, kmax, step, depth):
-    # The CLI prints the sweep as chunks of 4096 rows, each its own
-    # sweep_branches call from its first k; however many CPUs are usable,
-    # it forks nothing and together they print the rows of one call.
+    # The CLI prints the rows of its one sweep_branches call in chunks of
+    # 4096; however many CPUs are usable, it forks nothing and the chunks
+    # together print the rows of that call.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -313,8 +314,8 @@ def test_sweep_never_forks(monkeypatch):
 
 
 def test_sweep_chunks_share_one_gray_tree():
-    # Each chunk is its own sweep_branches call; the four chunks of this
-    # sweep build one Gray tree between them, as one call would.
+    # The four chunks of this sweep come from one sweep_branches call and
+    # climb from one Gray tree, built once.
     _gray_tree.cache_clear()
     assert run_cli(["sweep", "--kmax", "16383", "--depth", "25"])[0] == 0
     assert _gray_tree.cache_info().misses == 1
@@ -374,6 +375,21 @@ def test_closed_stdout_in_process(argv):
     fd = os.dup(0)
     os.close(fd)
     assert fd == lowest
+
+
+def test_sweep_into_closed_stdout_stays_bounded():
+    # The CLI prints a sweep chunk by chunk: writing 2**20 rows into a
+    # closed pipe costs one chunk of rows, not a list or a text of them all.
+    stdout, err = open(_closed_pipe(), "w"), io.StringIO()
+    tracemalloc.start()
+    try:
+        with stdout, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            assert main(["sweep", "--kmax", "1048575", "--depth", "21"]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.getvalue() == ""
+    assert peak < 8 * 2 ** 20
 
 
 def test_sweep_into_head_1_exits_1_quietly():

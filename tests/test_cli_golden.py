@@ -177,6 +177,10 @@ def test_records_replay_byte_identical_twice_in_one_process():
 # sha256 of the stdout of sweep --kmax 16383 --depth 25, recorded from the
 # per-branch sweep; the 16,385-line transcript is too large to store.
 SWEEP_16K_SHA256 = "e639bcfa3e223b3ea6afd6ef2857dc9e8af6e32a02bd26f2632fd8d35c43827c"
+# sha256 of the stdout of sweep --kmax 30000 --step 3 --depth 16: 10,002
+# lines, whose 10,001 rows make two full chunks and a short last one.
+SWEEP_STEP3_ARGV = ("sweep", "--kmax", "30000", "--step", "3", "--depth", "16")
+SWEEP_STEP3_SHA256 = "c0ab003b0df315fc6cc09521e9afb09d5185757cf2aa3260d3ea28539e876a23"
 
 
 # sha256 of the stdout of deep expand calls, keyed by argv: 257
@@ -202,6 +206,13 @@ def test_large_sweep_stdout_digest():
     t = transcript(["sweep", "--kmax", "16383", "--depth", "25"])
     assert (t["exit"], t["stderr"]) == (0, "")
     assert hashlib.sha256(t["stdout"].encode()).hexdigest() == SWEEP_16K_SHA256
+
+
+def test_step_3_sweep_stdout_digest():
+    t = transcript(list(SWEEP_STEP3_ARGV))
+    assert (t["exit"], t["stderr"]) == (0, "")
+    assert t["stdout"].count("\n") == 10002
+    assert hashlib.sha256(t["stdout"].encode()).hexdigest() == SWEEP_STEP3_SHA256
 
 
 @pytest.mark.parametrize("argv", [a for a in EXPAND_SHA256 if int(a[2]) <= 10],

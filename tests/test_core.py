@@ -1,5 +1,6 @@
 """Forward doubling chains, radical inverse towers, and their guards."""
 
+import cmath
 import math
 import random
 import re
@@ -301,6 +302,23 @@ def test_acos_above_one_rotates_acosh(y):
     # For real y > 1 both towers share the same real iterates; only the
     # closing radical differs, by an exact factor of 1j.
     assert nested_acos(y, 10) == 1j * nested_acosh(y, 10)
+
+
+def test_real_plus_infinity_on_branch_0():
+    # Every radical of +inf is +inf, at every depth to DEPTH_MAX: acosh and
+    # log are cmath.acosh's and math.log's +inf, and acos is the positive
+    # multiple of 1j the principal sheet gives every real y > 1.
+    h = cmath.acosh(math.inf)
+    assert h == math.log(math.inf) == math.inf
+    for depth in range(1, DEPTH_MAX + 1):
+        assert type(nested_acosh(math.inf, depth)) is float
+        assert nested_acosh(math.inf, depth) == h
+        assert nested_log(math.inf, depth) == math.log(math.inf)
+        assert repr(nested_acos(math.inf, depth)) == repr(complex(0.0, h.real))
+    for depth in (1, 10, DEPTH_MAX):
+        assert nested_acosh_sequence(math.inf, depth) == [h.real] * (depth + 1)
+        ys = nested_acos_sequence(math.inf, depth)
+        assert ys[:-1] == [h.real] * depth and ys[-1] == complex(0.0, h.real)
 
 
 @pytest.mark.parametrize("depth", [17, 18, 19, 20])

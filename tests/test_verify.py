@@ -431,23 +431,6 @@ def test_sweep_validation():
         with pytest.raises(ValueError, match="step"):
             sweep_branches(3, step)
 
-    for k_min in (-1, 4, True, 1.0, 3.0):
-        with pytest.raises(ValueError, match="k_min"):
-            sweep_branches(3, k_min=k_min)
-
-
-@pytest.mark.parametrize("k_max, step, depth",
-                         [(9000, 1, 15), (9000, 3, 20), (16383, 1, 25)])
-def test_sweep_from_k_min_is_the_tail_of_the_full_sweep(k_max, step, depth):
-    # A row's bits do not depend on the chunk or the tree it comes from, so
-    # a sweep from any k_min on the step's grid is the full sweep's tail.
-    full = list(sweep_branches(k_max, step, depth))
-    for k_min in (0, step, 2048 * step, 4097 * step, k_max - k_max % step):
-        if k_min > k_max:
-            continue
-        tail = list(sweep_branches(k_max, step, depth, k_min=k_min))
-        assert_bitwise_equal(tail, full[k_min // step:])
-
 TABLE1_VALUES = [
     1.5707961727850588, 4.7123848221200495, 7.853962382758355,
     10.995521462264511, 14.13705466824654, 17.278554608373348,
