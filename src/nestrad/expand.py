@@ -11,7 +11,7 @@ divides exactly and gives odd numerators over powers of two, lowest terms.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -29,7 +29,7 @@ __all__ = [
 #: Coefficient count 2**depth + 1 and bit-lengths grow geometrically.  From
 #: depth 10 on, denominators pass Python's 4300-digit int-to-str limit (the
 #: CLI prints them as exact Decimals).  Depths 1..9 are built once per
-#: process (1.24 MB for all 18 polys with evaluators, CPython 3.11);
+#: process (1.16 MB for all 18 polys with float tables, CPython 3.11);
 #: keeping 10..12 too would hold 77 MB, 29.5 MB at depth 12.
 EXPANSION_DEPTH_CAP = 12
 _ZERO = Fraction(0)
@@ -68,37 +68,24 @@ class RationalPoly:
         top = next((i for i, c in enumerate(floats) if c), 0)
         return tuple(floats[top:])
 
-    @cached_property
-    def evaluate(self) -> Callable[[float], float]:
-        """Floating-point Horner evaluation in u = x**2: poly.evaluate(x).
+    def evaluate(self, x: float) -> float:
+        """Horner's rule in u = x*x on the float table: P(x**2).
 
-        On first use, once per poly, the coefficients go to float (top
-        0.0s dropped: from depth 7 on 88-89 remain) and are bound to a
-        straight-line evaluator compiled once per process per length.
-        Circular terms alternate in sign and cancel: at depth 10 the sum is
-        1.6e-14, 1.9e-4 and 9.8e30 off at x = 10, 30 and 100, relative to
-        max(|P|, 1); hyperbolic terms do not.  nested_cos and nested_cosh at
-        EvalConfig(depth, 2) evaluate the same polynomials within 6e-14 there.
+        With f_j = float(c_j) and m = len(self._horner), f_j meets at most
+        2j + 1 roundings of eps/2 and u**j j more, so while no product
+        underflows the value is sum f_j*x**(2j)*(1 + t_j), |t_j| < 1.5*m*eps
+        (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).  As
+        |f_j| <= 4/3*|c_j| unless 2**-1075 < |c_j| < 3*2**-1076 (in no
+        expansion), |evaluate(x) - P(x**2)| <= (2m + 2)*eps*sum |c_j|*x**(2j)
+        + sum |c_j - f_j|*x**(2j), the last sum mostly the coefficients that
+        float() drops or makes subnormal.  Circular terms cancel: at depth 10,
+        relative to max(|P|, 1), the sum is 1.6e-14, 1.9e-4 and 9.8e30 off at
+        x = 10, 30 and 100; nested_cos/cosh(x, EvalConfig(10, 2)): 6e-14.
         """
-        return _horner_maker(len(self._horner))(*self._horner)
-
-    def __getstate__(self) -> dict:
-        # Pickle and copy the coefficients alone: an evaluator cannot be.
-        return {"coeffs": self.coeffs}
-
-
-@lru_cache(maxsize=None)
-def _horner_maker(n: int) -> Callable[..., Callable[[float], float]]:
-    # make(c0, ..., c<n-1>) returns evaluate(x): acc = acc * u + c from
-    # acc = 0.0 written out, 32 nested terms a statement (the parser nests
-    # 200 parentheses at most).  Closure cells, not text, hold the floats.
-    names = [f"c{i}" for i in range(n)]
-    steps = [f"  acc = {'(' * len(cs)}acc{''.join(f' * u + {c})' for c in cs)}"
-             for cs in (names[i:i + 32] for i in range(0, n, 32))]
-    code = [f"def make({', '.join(names)}):", " def evaluate(x):", "  u = x * x",
-            "  acc = 0.0", *steps, "  return acc", " return evaluate"]
-    exec("\n".join(code), scope := {})
-    return scope["make"]
+        u, acc = x * x, 0.0
+        for c in self._horner:
+            acc = acc * u + c
+        return acc
 
 
 def _check(depth: int, variant: str) -> None:

@@ -13,9 +13,10 @@ are derived, not fitted.  S_n is Viete's partial product.
 
 The towers: ``radicals`` is the tests' one loop of Gray-signed literal
 half-angle radicals, which ``mp_tower`` runs in mpmath at the caller's
-working precision, beside the forward ``mp_chain``.  Only those two need
-mpmath, and they import it when called.  ``deviation_tower`` is the
-library's float tower written out on principal_sqrt, with no fast path.
+working precision, beside the forward ``mp_pairs`` and its cosine column
+``mp_chain``.  Only those need mpmath, and they import it when called.
+``deviation_tower`` is the library's float tower written out on
+principal_sqrt, with no fast path.
 
 A test reference only: it calls sin, so no evaluator may ever use it.
 """
@@ -142,16 +143,28 @@ def mp_tower(y, k, depth, hyperbolic):
                                     else 2 * (1 - v))
 
 
-def mp_chain(x, depth, order):
-    """The forward chain's iterates at x, in mpmath.
+def mp_pairs(x, depth, order, hyperbolic=False):
+    """The forward chain's (c, s) iterates at x, in mpmath.
 
-    The even series of ``order`` terms at x/2**depth, then ``depth``
-    literal steps -1 + 2*y**2.
+    The seed is core._seed's, exact: c = 1 + u*q, the even series of
+    ``order`` terms at t = x/2**depth with u = -t**2 (+t**2 when
+    hyperbolic) and q the sum of u**(j-1)/(2j)! for 0 < j < order, and
+    s = t*sqrt(q*(2 + u*q)), the root of +-(1 - c**2) with t's sign; at
+    order 2 and real x it is real when hyperbolic or when |t| <= 2.  Then
+    ``depth`` literal steps (c, s) <- (2c**2 - 1, 2sc).
     """
     import mpmath
 
     t = mpmath.mpf(x) / 2 ** depth
-    ys = [sum((-t * t) ** j / mpmath.factorial(2 * j) for j in range(order))]
+    u = t * t if hyperbolic else -t * t
+    q = sum(u ** (j - 1) / mpmath.factorial(2 * j) for j in range(1, order))
+    pairs = [(1 + u * q, t * mpmath.sqrt(q * (2 + u * q)))]
     for _ in range(depth):
-        ys.append(2 * ys[-1] ** 2 - 1)
-    return ys
+        c, s = pairs[-1]
+        pairs.append((2 * c * c - 1, 2 * s * c))
+    return pairs
+
+
+def mp_chain(x, depth, order):
+    """The circular chain's cosine iterates at x: mp_pairs' c column."""
+    return [c for c, _ in mp_pairs(x, depth, order)]

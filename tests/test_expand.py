@@ -26,6 +26,8 @@ from nestrad import (
 )
 from nestrad.expand import _build
 
+EPS = sys.float_info.epsilon
+
 
 def test_hyperbolic_variant_seed_sign():
     assert expand_nested_cos(1, "hyperbolic").coeffs == (
@@ -189,30 +191,84 @@ def test_evaluate_matches_floating_chain(depth):
     assert abs(poly - chain) <= 1e-12
 
 
+def _dyadic_sum(cs, x):
+    # The exact sum of cs[j] * x**(2j) for dyadic cs and a float x = X/2**k:
+    # Horner in integers over 2**(t + 2k*J), J = len(cs) - 1 and 2**t the
+    # largest denominator in cs.
+    X, d = x.as_integer_ratio()
+    k, J = d.bit_length() - 1, len(cs) - 1
+    t = max(c.denominator.bit_length() for c in cs) - 1
+    acc = 0
+    for j in range(J, -1, -1):
+        shift = t + 1 - cs[j].denominator.bit_length() + 2 * k * (J - j)
+        acc = acc * X * X + (cs[j].numerator << shift)
+    return Fraction(acc, 1 << t + 2 * k * J)
+
+
 def test_evaluate_states_where_it_loses_digits():
     # evaluate's docstring and the README: at depth 10 the circular float
     # Horner cancels, 1.6e-14, 1.9e-4 and 9.8e30 off at x = 10, 30 and 100
     # relative to max(|P|, 1); the hyperbolic one does not (its 1.4e-12 at
     # x = 100 is coefficients that round to subnormal or zero floats); and
     # the seed-order-2 chains evaluate both polynomials within 6e-14.
-    # Each is measured against the exact Horner sum, in integers over the
-    # last coefficient's denominator 2**t, the largest: a Fraction Horner's
-    # value, 100 times faster.
+    # Each is measured against the exact sum, _dyadic_sum's Horner in
+    # integers: a Fraction Horner's value, 100 times faster.
     stated = {"circular": ["1.6e-14", "1.9e-04", "9.8e+30"], "hyperbolic": [None] * 3}
     for variant, chain in [("circular", nested_cos), ("hyperbolic", nested_cosh)]:
         poly = expand_nested_cos(10, variant)
-        t = poly.coeffs[-1].denominator.bit_length() - 1
         for x, want in zip((10.0, 30.0, 100.0), stated[variant]):
-            acc = 0
-            for c in reversed(poly.coeffs):
-                shift = t + 1 - c.denominator.bit_length()
-                acc = acc * int(x) ** 2 + (c.numerator << shift)
-            exact = Fraction(acc, 1 << t)
+            exact = _dyadic_sum(poly.coeffs, x)
             scale = max(abs(exact), 1)
             off = float(abs(Fraction(poly.evaluate(x)) - exact) / scale)
             assert f"{off:.1e}" == want if want else off < 1e-11, (variant, x, off)
             off = float(abs(Fraction(chain(x, EvalConfig(10, 2))) - exact) / scale)
             assert off < 6e-14, (variant, x, off)
+
+
+def _head(x, n):
+    # |c_j| <= 1/(2j)! at every depth and in both variants: c_j is +- the
+    # product over i < j of (1 - i**2/N**2)/((2i + 1)(2i + 2)), N = 2**depth.
+    # Past the least J <= n where those bounds x**(2j)/(2j)! fall below about
+    # 2**-1100 and at least halve with each j, the terms of P, B and D sum
+    # to less than twice the first: returns J and that tail, 0 if J = n.
+    if x == 0.0:
+        return 0, 0
+    u, log_u, J = Fraction(x) ** 2, 2 * math.log(abs(x)), 0
+    while J < n and (2 * u > (2 * J + 3) * (2 * J + 4)
+                     or (J + 1) * log_u - math.lgamma(2 * J + 3) > -1100 * math.log(2)):
+        J += 1
+    return J, (2 * u ** (J + 1) / math.factorial(2 * J + 2) if J < n else 0)
+
+
+def test_evaluate_keeps_its_stated_error_bound():
+    # evaluate's docstring derives |evaluate(x) - P(x**2)| <= (2m + 2) eps B
+    # + D, with B = sum |c_j| x**(2j), the hyperbolic twin's P, and D = sum
+    # |c_j - float(c_j)| x**(2j).  P, B and D are exact sums over j <= J
+    # (_head), and the bound of the terms past J joins the error side.  The
+    # polys of depths 10..12 are built once for all draws.  The worst draw
+    # reaches 0.98 of the bound, at depth 12 and x = -100 on the hyperbolic
+    # poly, where the coefficients float() drops, exactly D, are the error.
+    polys = {(depth, variant): expand_nested_cos(depth, variant)
+             for depth in range(1, EXPANSION_DEPTH_CAP + 1)
+             for variant in ("circular", "hyperbolic")}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, EXPANSION_DEPTH_CAP), st.sampled_from(["circular", "hyperbolic"]),
+           st.floats(-100.0, 100.0))
+    @example(10, "circular", 100.0)
+    @example(12, "hyperbolic", -100.0)
+    @example(7, "circular", 5e-324)
+    def check(depth, variant, x):
+        poly, twin = polys[depth, variant], polys[depth, "hyperbolic"]
+        J, tail = _head(x, len(poly) - 1)
+        cs = poly.coeffs[:J + 1]
+        conv = [abs(c - Fraction(float(c))) for c in cs]
+        off = abs(Fraction(poly.evaluate(x)) - _dyadic_sum(cs, x)) + tail
+        b = _dyadic_sum(twin.coeffs[:J + 1], x)
+        bound = (2 * len(poly._horner) + 2) * Fraction(EPS) * b + _dyadic_sum(conv, x)
+        assert off <= bound, (depth, variant, x)
+
+    check()
 
 
 @pytest.mark.parametrize("variant", ["circular", "hyperbolic"])
@@ -338,8 +394,8 @@ XS = st.one_of(PARTS, st.builds(complex, PARTS, PARTS))
 @example([1.0] * 5000, [0.0, -0.0, 0.5, 1.0, 1e200, INF, NAN, 1 + 2j, -0.5 - 3j])
 @example([-0.0], [1j, 1 + 2j, -0.5 - 3j])
 def test_evaluate_is_bitwise_the_per_call_loop(coeffs, xs):
-    # Each table length gets its own straight-line evaluator, 32 terms to
-    # a statement; each is bitwise the loop over every float coefficient.
+    # evaluate loops over the float table, whose top 0.0s are dropped; it
+    # is bitwise the loop over every float coefficient, at every length.
     # [-0.0] at Re(u) < 0 pins a -0.0 real part: 0.0 * u has one there,
     # and -0.0 + -0.0 is -0.0, so any extra + 0.0 would show.
     if len(coeffs) > 1 and coeffs[-1] == 0:
@@ -350,14 +406,16 @@ def test_evaluate_is_bitwise_the_per_call_loop(coeffs, xs):
 
 
 def test_evaluated_polys_pickle_and_copy():
-    # The evaluator a poly caches on first use cannot be pickled; pickling
-    # and copying take the coefficients, and the copy builds its own.
+    # evaluate is a method, so no instance holds one; the float table a
+    # poly caches on first use is in its __dict__, so pickling and copying
+    # carry it beside the coefficients, and the twin evaluates alike.
     for poly in (expand_nested_cos(5), expand_nested_cos(10)):
         poly.evaluate(0.5)
         for twin in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly),
                      copy.copy(poly)):
             assert twin == poly and twin is not poly
             assert "evaluate" not in vars(twin)
+            assert vars(twin)["_horner"] == poly._horner
             for x in EVAL_XS:
                 assert repr(twin.evaluate(x)) == repr(poly.evaluate(x)), x
 

@@ -133,6 +133,16 @@ def test_imports_only_the_standard_library():
     assert modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
 
 
+def test_package_generates_no_code():
+    # The package compiles no source text at run time: no module calls the
+    # builtins exec, eval or compile.  re.compile is an attribute call.
+    calls = sorted((name, node.lineno) for name, tree in _modules().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ("exec", "eval", "compile"))
+    assert not calls, f"runtime code generation at {calls}"
+
+
 def _reads(node):
     # The names a piece of code reads, bare or as an attribute.
     for n in ast.walk(node):
