@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,14 +121,9 @@ def make_report(input: Scalar, value: Scalar, oracle_value: Scalar,
     return r
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """Error at one depth; error_ratio is previous/current (0 when undefined)."""
-
-    depth: int
-    value: Scalar
-    abs_error: float
-    error_ratio: float
+ConvergenceRow = namedtuple("ConvergenceRow", "depth value abs_error error_ratio")
+ConvergenceRow.__doc__ = (
+    "Error at one depth; error_ratio is previous/current (0 when undefined).")
 
 
 def extract_branch(x: Scalar) -> float:
@@ -218,12 +214,11 @@ def _std_oracle(real_fn: Callable[[float], float],
     return oracle
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """A nested evaluator paired with its reference oracle."""
+FunctionSpec = namedtuple("FunctionSpec", "evaluate oracle")
+FunctionSpec.__doc__ = """A nested evaluator paired with its reference oracle.
 
-    evaluate: Callable[..., Scalar]  # (z, depth, seed_order, branch)
-    oracle: Callable[..., Scalar]    # (z, branch)
+evaluate takes (z, depth, seed_order, branch) and oracle (z, branch).
+"""
 
 
 def _sin_shift(x: Scalar, cfg: EvalConfig) -> Scalar:
@@ -300,16 +295,16 @@ def _lookup(name: str) -> FunctionSpec:
 def eval_report(name: str, z: Scalar, *, depth: int = 10, seed_order: int = 2,
                 branch: int = 0) -> EvalReport:
     """Evaluate one function and compare it against its oracle."""
-    spec = _lookup(name)
-    value = spec.evaluate(z, depth, seed_order, branch)
-    oracle_value = spec.oracle(z, branch)
+    evaluate, oracle = _lookup(name)
+    value = evaluate(z, depth, seed_order, branch)
+    oracle_value = oracle(z, branch)
     return make_report(z, value, oracle_value, depth, seed_order, branch)
 
 
 def converge(name: str, z: Scalar, depths: list[int],
              seed_order: int = 2) -> list[ConvergenceRow]:
     """Error against the oracle at each depth, with step-to-step ratios."""
-    spec = _lookup(name)
+    evaluate, oracle = _lookup(name)
     if not depths:
         raise ValueError("depth range must be nonempty")
     if any(b <= a for a, b in zip(depths, depths[1:])):
@@ -318,8 +313,8 @@ def converge(name: str, z: Scalar, depths: list[int],
     # named before a bad seed order, as EvalConfig names it.
     for d in depths:
         check_depth(d)
-    values = [spec.evaluate(z, d, seed_order, 0) for d in depths]
-    oracle_value = spec.oracle(z, 0)
+    values = [evaluate(z, d, seed_order, 0) for d in depths]
+    oracle_value = oracle(z, 0)
     errors = [abs(v - oracle_value) for v in values]
     ratios = [0.0] + [p / e if e else 0.0 for p, e in zip(errors, errors[1:])]
     return list(map(ConvergenceRow, depths, values, errors, ratios))
@@ -354,23 +349,13 @@ def _sweep_columns(ks: range, depth: int
         yield chunk, extracted, [abs(e - k) for e, k in zip(extracted, chunk)]
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    """Branch k of the inverse cosine of 0 with its sign pattern and limit."""
+Table1Row = namedtuple("Table1Row", "k pattern value converging")
+Table1Row.__doc__ = (
+    "Branch k of the inverse cosine of 0 with its sign pattern and limit.")
 
-    k: int
-    pattern: str
-    value: float
-    converging: float
-
-
-@dataclass(frozen=True)
-class Table2Row:
-    """Branch k of the inverse cosines of +1 and -1, both divided by pi."""
-
-    k: int
-    at_plus_one: float
-    at_minus_one: float
+Table2Row = namedtuple("Table2Row", "k at_plus_one at_minus_one")
+Table2Row.__doc__ = (
+    "Branch k of the inverse cosines of +1 and -1, both divided by pi.")
 
 
 def reproduce_table1(depth: int = 10) -> list[Table1Row]:

@@ -150,7 +150,8 @@ def mp_pairs(x, depth, order, hyperbolic=False):
     ``order`` terms at t = x/2**depth with u = -t**2 (+t**2 when
     hyperbolic) and q the sum of u**(j-1)/(2j)! for 0 < j < order, and
     s = t*sqrt(q*(2 + u*q)), the root of +-(1 - c**2) with t's sign; at
-    order 2 and real x it is real when hyperbolic or when |t| <= 2.  Then
+    orders 2 to 4 and real x it is real when hyperbolic or when |t| <= 2,
+    where 2 + u*q >= 2/3 at order 3 and > 0.57 at order 4.  Then
     ``depth`` literal steps (c, s) <- (2c**2 - 1, 2sc).
     """
     import mpmath

@@ -88,6 +88,22 @@ def test_import_loads_no_expansion():
     assert (before, after) == ("False", "True True")
 
 
+def test_cli_import_builds_two_dataclasses():
+    # A dataclass generates its methods when its module is imported, so
+    # only the two that need dataclass behaviour are dataclasses:
+    # EvalConfig validates every construction, and EvalReport is what
+    # dataclasses.replace is called on.  The plain records are namedtuples.
+    code = ("import dataclasses, nestrad.cli\n"
+            "from nestrad import core, verify\n"
+            "print(*sorted(n for m in (core, verify) for n in m.__all__\n"
+            "              if isinstance(c := getattr(m, n), type)\n"
+            "              and dataclasses.is_dataclass(c)))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nestrad.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.split() == ["EvalConfig", "EvalReport"]
+
+
 def test_canonical_call_loads_no_argparse():
     # A fresh interpreter imports the CLI and runs a valid call in canonical
     # form of every command without loading argparse: only help, errors and

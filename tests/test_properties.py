@@ -173,33 +173,36 @@ def test_exp_of_minus_x_is_the_reciprocal_bitwise(x, depth, order):
 
 
 # The forward chains against their exact same-depth pair (C, S), the
-# doubled seed of same_depth.mp_pairs in 60 digits at seed order 2: the
-# roundoff grows as about 1.5 eps * |x| (ROADMAP item 28), so each value
-# is within PAIR_C * (1 + |x|) * eps of max(1, |C|, |S|), and exp within
-# that of its own value, C + S or 1/(C - S) for x < 0.  The circular seed
-# sine is real only for |x| <= 2**(depth + 1), so cos and sin are drawn
-# there only.  6000 random draws read at most 7.4 (cos, depth 16).
+# doubled seed of same_depth.mp_pairs in 60 digits at seed orders 2 to 4:
+# the roundoff grows as about 1.5 eps * |x| (ROADMAP item 28), so each
+# value is within PAIR_C * (1 + |x|) * eps of max(1, |C|, |S|), and exp
+# within that of its own value, C + S or 1/(C - S) for x < 0.  The
+# circular seed sine is real only for |x| <= 2**(depth + 1), where
+# 2 + u*q stays positive at each of these orders, so cos and sin are
+# drawn there only.  6000 random draws at order 2 read at most 7.4 (cos,
+# depth 16), and 9000 at orders 3 and 4 at most 6.7 (cos, order 4).
 PAIR_C = 20.0
 
 
 @REPRODUCIBLE
-@given(st.floats(-60.0, 60.0), st.integers(1, 30))
-def test_forward_chains_keep_to_the_same_depth_pair(x, depth):
+@given(st.floats(-60.0, 60.0), st.integers(1, 30), st.sampled_from([2, 3, 4]))
+def test_forward_chains_keep_to_the_same_depth_pair(x, depth, order):
     mpmath = pytest.importorskip("mpmath")
-    cfg = EvalConfig(depth, 2)
+    cfg = EvalConfig(depth, order)
     with mpmath.workdps(60):
-        c, s = mp_pairs(x, depth, 2, True)[-1]
+        c, s = mp_pairs(x, depth, order, True)[-1]
         e = c + s if x >= 0.0 else 1 / (c - s)
         scale = max(1.0, abs(c), abs(s))
         checks = [(nested_cosh, c, scale), (nested_sinh, s, scale),
                   (nested_exp, e, abs(e))]
         if abs(x) <= 2.0 ** (depth + 1):
-            c, s = mp_pairs(x, depth, 2)[-1]
+            c, s = mp_pairs(x, depth, order)[-1]
             scale = max(1.0, abs(c), abs(s))
             checks += [(nested_cos, c, scale), (nested_sin, s, scale)]
         for fn, exact, scale in checks:
             off = abs(fn(x, cfg) - exact)
-            assert off <= PAIR_C * (1.0 + abs(x)) * EPS * scale, (fn.__name__, x, depth)
+            assert off <= PAIR_C * (1.0 + abs(x)) * EPS * scale, \
+                (fn.__name__, x, depth, order)
 
 
 @REPRODUCIBLE

@@ -1,9 +1,11 @@
 """Reference oracles, error reports, convergence tables, and reproductions."""
 
 import cmath
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -322,8 +324,47 @@ def test_registered_function_names():
         "exp", "exp-limit", "log", "log-limit", "sin", "sin-shift", "sinh",
         "tan", "tanh",
     ]
-    assert [f.name for f in dataclasses.fields(FunctionSpec)] == [
-        "evaluate", "oracle"]
+    assert FunctionSpec._fields == ("evaluate", "oracle")
+
+
+# Each plain record, a fixed row of it, its fields in order and the repr
+# the row printed when the record was a frozen dataclass.
+RECORDS = {
+    "ConvergenceRow": (
+        lambda: converge("cos", 0.5, [4, 5])[1],
+        ("depth", "value", "abs_error", "error_ratio"),
+        "ConvergenceRow(depth=5, value=0.8775801233276549, "
+        "abs_error=2.4385627178658e-06, error_ratio=4.000385514426668)"),
+    "FunctionSpec": (
+        lambda: FunctionSpec(math.cos, math.sin), ("evaluate", "oracle"),
+        "FunctionSpec(evaluate=<built-in function cos>, "
+        "oracle=<built-in function sin>)"),
+    "Table1Row": (
+        lambda: reproduce_table1(10)[1], ("k", "pattern", "value", "converging"),
+        "Table1Row(k=1, pattern='+++-', value=4.7123848221200495, "
+        "converging=4.71238898038469)"),
+    "Table2Row": (
+        lambda: reproduce_table2(10)[2], ("k", "at_plus_one", "at_minus_one"),
+        "Table2Row(k=2, at_plus_one=1.999996862538733, "
+        "at_minus_one=2.9999894110744534)"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_values(name):
+    make, fields, text = RECORDS[name]
+    row = make()
+    assert type(row) is getattr(verify, name) and type(row)._fields == fields
+    assert repr(row) == text
+    twin = make()
+    assert twin is not row and twin == row and hash(twin) == hash(row)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(row, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(row, field)
+    for other in (pickle.loads(pickle.dumps(row)), copy.copy(row), copy.deepcopy(row)):
+        assert type(other) is type(row) and other == row
 
 
 def test_converge_known_rows():
